@@ -7,7 +7,13 @@ significant-digit precision.  Re-running with the same config reproduces
 the CSV byte for byte: grids are fixed tuples, solvers are deterministic
 and rows are emitted in a fixed order.
 
-Sweep points are dispatched to a process pool when jobs > 1; workers
+The concurrence and decay sweeps derive the material once per run and
+the chain inverse once per chain length n.  Each (n, detuning) pair is an
+intensity column: its mediated parameters are built point by point, then
+the whole column goes through the steady-state solve, the state checks,
+the concurrence and the Dicke rotation as one stack (see steadystate).
+
+Chain lengths are dispatched to a process pool when jobs > 1; workers
 share nothing mutable and results are collected in task order.
 """
 
@@ -248,28 +254,50 @@ CONCURRENCE_HEADER = (
 )
 
 
-def _concurrence_task(args):
-    """All intensities for one (n, detuning) pair; reuses the chain inverse."""
-    cfg, n, delta_over_gamma, phi, detuning_mode = args
-    mat = material_from(cfg)
-    d1, d2 = detuning_pair(detuning_mode, delta_over_gamma, cfg.qd.gamma_i)
-    qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i, d1, d2)
+def _chain(cfg: ExperimentConfig, mat: MaterialSystem, n: int, omega: float):
+    """Geometry and chain inverse for one n.
+
+    kappa and delta depend only on the geometry and the frequency, so the
+    resonant dots stand in for any detuning.  Also returns those dots.
+    """
     geom = geometry_from(cfg, n)
-    omega = single_omega(cfg, mat)
-    couplings = bare_couplings(geom, qd, mat)
-    pole = complex_pole(mat, qd, omega)
-    cm = build_coupling_matrix(n, couplings.kappa, pole.delta)
+    qd0 = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
+    kappa = bare_couplings(geom, qd0, mat).kappa
+    cm = build_coupling_matrix(n, kappa, complex_pole(mat, qd0, omega).delta)
+    return geom, qd0, cm
+
+
+def _concurrence_rows(cfg, mat, geom, cm, omega, deltas, phi, detuning_mode):
+    """Rows of every (detuning, intensity) point of one chain, detuning-major.
+
+    Each detuning's intensity column is solved as one stack.
+    """
     rows = []
-    for intensity in cfg.drive.intensity_w_cm2:
-        drive = drive_rates(intensity * W_CM2_TO_W_M2, mat, qd, omega, phi)
-        mp = mediated_params(geom, mat, qd, drive, cm, phi_mode=cfg.drive.phi_mode)
-        state = steady_state(mp)
+    for delta_over_gamma in deltas:
+        d1, d2 = detuning_pair(detuning_mode, delta_over_gamma, cfg.qd.gamma_i)
+        qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i, d1, d2)
+        mps = [
+            mediated_params(geom, mat, qd,
+                            drive_rates(intensity * W_CM2_TO_W_M2, mat, qd, omega, phi),
+                            cm, phi_mode=cfg.drive.phi_mode)
+            for intensity in cfg.drive.intensity_w_cm2
+        ]
+        state = steady_state(mps)
         pops = dicke_populations(state)
-        rows.append((
-            n, float(intensity), float(delta_over_gamma), concurrence(state),
-            pops.rho_gg, pops.rho_ss, pops.rho_aa, pops.rho_ee,
-        ))
+        columns = zip(cfg.drive.intensity_w_cm2, concurrence(state).tolist(),
+                      pops.rho_gg.tolist(), pops.rho_ss.tolist(),
+                      pops.rho_aa.tolist(), pops.rho_ee.tolist())
+        rows += [(geom.n, float(intensity), float(delta_over_gamma), *values)
+                 for intensity, *values in columns]
     return rows
+
+
+def _concurrence_task(args):
+    """All (detuning, intensity) points of one n; one chain inverse."""
+    cfg, mat, n, deltas, phi, detuning_mode = args
+    omega = single_omega(cfg, mat)
+    geom, _, cm = _chain(cfg, mat, n, omega)
+    return _concurrence_rows(cfg, mat, geom, cm, omega, deltas, phi, detuning_mode)
 
 
 def run_concurrence_sweep(cfg: ExperimentConfig, jobs: int = 1):
@@ -282,10 +310,10 @@ def run_concurrence_sweep(cfg: ExperimentConfig, jobs: int = 1):
         raise ConfigError("concurrence experiment requires solver.backend = effective")
     deltas = cfg.qd.delta_over_gamma if cfg.qd.detuning_mode != "none" else (0.0,)
     phi = cfg.drive.phi_over_pi * math.pi
+    mat = material_from(cfg)
     tasks = [
-        (cfg, n, d, phi, cfg.qd.detuning_mode)
+        (cfg, mat, n, deltas, phi, cfg.qd.detuning_mode)
         for n in sorted(set(cfg.geometry.n))
-        for d in deltas
     ]
     chunks = _map_tasks(_concurrence_task, tasks, jobs)
     rows = [row for chunk in chunks for row in chunk]
@@ -324,22 +352,15 @@ def _decay_scheme(cfg: ExperimentConfig, n: int, g_coh_sign: float):
 
 def _decay_task(args):
     """Optimize one n over its scheme's (intensity, detuning) grid."""
-    cfg, n = args
-    mat = material_from(cfg)
-    qd0 = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
-    geom = geometry_from(cfg, n)
-    couplings = bare_couplings(geom, qd0, mat)
-    pole = complex_pole(mat, qd0, mat.omega_0)
-    cm = build_coupling_matrix(n, couplings.kappa, pole.delta)
+    cfg, mat, n = args
+    geom, qd0, cm = _chain(cfg, mat, n, mat.omega_0)
     drive0 = drive_rates(0.0, mat, qd0, mat.omega_0)
     g_sign = math.copysign(1.0, mediated_params(geom, mat, qd0, drive0, cm).g_coh or 1.0)
     mode, deltas, phi = _decay_scheme(cfg, n, g_sign)
     best = (-1.0, 0.0, 0.0)
-    for delta in deltas:
-        rows = _concurrence_task((cfg, n, delta, phi, mode))
-        for row in rows:
-            if row[3] > best[0]:
-                best = (row[3], row[1], row[2])
+    for row in _concurrence_rows(cfg, mat, geom, cm, mat.omega_0, deltas, phi, mode):
+        if row[3] > best[0]:
+            best = (row[3], row[1], row[2])
     return n, _sequence_label(n), best[0], best[1], best[2]
 
 
@@ -357,7 +378,8 @@ def run_decay(cfg: ExperimentConfig, jobs: int = 1):
         raise ConfigError("decay experiment requires solver.backend = effective")
     if cfg.drive.omega_mode != "lspr":
         raise ConfigError("decay experiment requires drive.omega_mode = lspr")
-    tasks = [(cfg, n) for n in sorted(set(cfg.geometry.n))]
+    mat = material_from(cfg)
+    tasks = [(cfg, mat, n) for n in sorted(set(cfg.geometry.n))]
     results = _map_tasks(_decay_task, tasks, jobs)
 
     fits = {}

@@ -324,13 +324,14 @@ def validate_against_effective(
     if omega is None:
         omega = mat.omega_0
     couplings = bare_couplings(geom, qd, mat)
+    pole = complex_pole(mat, qd, omega)
+    cm = build_coupling_matrix(geom.n, couplings.kappa, pole.delta)
+    drives = [drive_rates(float(intensity), mat, qd, omega, phi) for intensity in intensity_grid]
+    c_effs = concurrence(steady_state(
+        [mediated_params(geom, mat, qd, drive, cm, phi_mode="bare") for drive in drives]
+    )).tolist()
     rows = []
-    for intensity in intensity_grid:
-        drive = drive_rates(float(intensity), mat, qd, omega, phi)
-        pole = complex_pole(mat, qd, omega)
-        cm = build_coupling_matrix(geom.n, couplings.kappa, pole.delta)
-        mp = mediated_params(geom, mat, qd, drive, cm, phi_mode="bare")
-        c_eff = concurrence(steady_state(mp))
+    for intensity, drive, c_eff in zip(intensity_grid, drives, c_effs):
         system = build_full_system(geom, mat, qd, drive, cfg, phase_mnp_drives)
         rho_full = steady_state_full(liouvillian(system), cfg.dim)
         state = reduce_to_qubits(rho_full, cfg).validate()

@@ -11,6 +11,15 @@ the diagonal and the mediated rate Gamma12 off-diagonal:
 The stationarity condition is solved as a 16 x 16 real linear system over
 x = [rho_ii (4), Re rho_ij (6), Im rho_ij (6)]; the redundant rho_00 row
 is replaced by the trace constraint, giving rhs b = e_0.
+
+The generator is linear in ten real parameters (dw1, dw2, Re/Im lambda~_1,
+Re/Im lambda~_2, G12, gamma~_1, gamma~_2, Gamma12), so its 16 x 16 matrix
+is a fixed combination of ten precomputed term matrices.  Every function
+here works on a stack of B parameter sets at once: one einsum assembles
+the B systems, one batched solve gives the B states, and the state checks
+(Hermiticity, trace, positivity, stationarity residual), the concurrence
+and the Dicke populations are each one stacked numpy call.  A single
+parameter set is the stack of one.
 """
 
 from __future__ import annotations
@@ -48,8 +57,6 @@ SIGMA_1[2, 3] = 1.0
 SIGMA_2 = np.zeros((4, 4), dtype=complex)
 SIGMA_2[0, 2] = 1.0
 SIGMA_2[1, 3] = 1.0
-_N_1 = SIGMA_1.conj().T @ SIGMA_1
-_N_2 = SIGMA_2.conj().T @ SIGMA_2
 
 # rows are the Dicke bras <g|, <s|, <a|, <e| in the computational basis
 _DICKE_ROTATION = np.array(
@@ -70,212 +77,292 @@ _YY[1, 2] = 1.0
 _YY[2, 1] = 1.0
 _YY[3, 0] = -1.0
 
-_OFFDIAG_PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# off-diagonal pairs (0,1), (0,2), (0,3), (1,2), (1,3), (2,3) of the
+# real coordinates x[4:10] (real parts) and x[10:16] (imaginary parts)
+_DIAG = np.arange(4)
+_UPPER_I, _UPPER_J = np.triu_indices(4, 1)
 
 
-def _real_basis() -> list[np.ndarray]:
-    basis = []
-    for i in range(4):
-        b = np.zeros((4, 4), dtype=complex)
-        b[i, i] = 1.0
-        basis.append(b)
-    for (i, j) in _OFFDIAG_PAIRS:
-        b = np.zeros((4, 4), dtype=complex)
-        b[i, j] = 1.0
-        b[j, i] = 1.0
-        basis.append(b)
-    for (i, j) in _OFFDIAG_PAIRS:
-        b = np.zeros((4, 4), dtype=complex)
-        b[i, j] = 1.0j
-        b[j, i] = -1.0j
-        basis.append(b)
-    return basis
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
-_BASIS = _real_basis()
+def _pack(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., 16) of Hermitian matrices (..., 4, 4)."""
+    upper = rho[..., _UPPER_I, _UPPER_J]
+    return np.concatenate([rho[..., _DIAG, _DIAG].real, upper.real, upper.imag], axis=-1)
 
 
-def _coords(rho: np.ndarray) -> np.ndarray:
-    x = np.empty(16)
-    for i in range(4):
-        x[i] = rho[i, i].real
-    for k, (i, j) in enumerate(_OFFDIAG_PAIRS):
-        x[4 + k] = rho[i, j].real
-        x[10 + k] = rho[i, j].imag
-    return x
-
-
-def _from_coords(x: np.ndarray) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        rho[i, i] = x[i]
-    for k, (i, j) in enumerate(_OFFDIAG_PAIRS):
-        rho[i, j] = x[4 + k] + 1j * x[10 + k]
-        rho[j, i] = x[4 + k] - 1j * x[10 + k]
+def _unpack(x: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (B, 4, 4) from real coordinates (B, 16)."""
+    rho = np.zeros((x.shape[0], 4, 4), dtype=complex)
+    rho[:, _DIAG, _DIAG] = x[:, :4]
+    rho[:, _UPPER_I, _UPPER_J] = x[:, 4:10] + 1j * x[:, 10:]
+    rho[:, _UPPER_J, _UPPER_I] = x[:, 4:10] - 1j * x[:, 10:]
     return rho
 
 
-# positivity tolerance: eigenvalues in [-POSITIVITY_TOL, 0) are clipped
-# with a logged warning, anything below is a hard error
+def _generator_terms() -> np.ndarray:
+    """(10, 16, 16) real matrices of the generator, one per unit parameter.
+
+    Column k of term p holds the coordinates of L_p applied to the k-th
+    real basis matrix, in the parameter order of _parameter_rows.
+    """
+    unit = _unpack(np.eye(16))
+    s = (SIGMA_1, SIGMA_2)
+    s_dag = (_dagger(SIGMA_1), _dagger(SIGMA_2))
+    h = np.stack([
+        s_dag[0] @ s[0],
+        s_dag[1] @ s[1],
+        -(s_dag[0] + s[0]),
+        -(1j * s_dag[0] - 1j * s[0]),
+        -(s_dag[1] + s[1]),
+        -(1j * s_dag[1] - 1j * s[1]),
+        -(s_dag[0] @ s[1] + s_dag[1] @ s[0]),
+    ])[:, None]
+    coherent = -1j * (h @ unit - unit @ h)
+
+    def dissipator(i, j):
+        jump = s_dag[i] @ s[j]
+        return 0.5 * (2.0 * s[j] @ unit @ s_dag[i] - jump @ unit - unit @ jump)
+
+    incoherent = np.stack([
+        dissipator(0, 0),
+        dissipator(1, 1),
+        dissipator(0, 1) + dissipator(1, 0),
+    ])
+    return _pack(np.concatenate([coherent, incoherent])).swapaxes(1, 2).copy()
+
+
+_GENERATOR_TERMS = _generator_terms()
+
+
+def _parameter_rows(mps) -> np.ndarray:
+    """(B, 10) real parameters of a stack, in the order of _GENERATOR_TERMS."""
+    return np.array(
+        [
+            (mp.delta_omega_tilde_1, mp.delta_omega_tilde_2,
+             mp.lambda_tilde_1.real, mp.lambda_tilde_1.imag,
+             mp.lambda_tilde_2.real, mp.lambda_tilde_2.imag,
+             mp.g_coh, mp.gamma_tilde_1, mp.gamma_tilde_2, mp.gamma_diss)
+            for mp in mps
+        ],
+        dtype=float,
+    ).reshape(-1, len(_GENERATOR_TERMS))
+
+
+# positivity tolerance: eigenvalues in [-POSITIVITY_TOL, 0) are tolerated
+# as round-off with one logged warning per stack, anything below is a hard
+# error
 POSITIVITY_TOL = 1e-9
+
+
+def _state_checks(rho: np.ndarray, positivity_tol: float):
+    """Per-state invariant checks of a (B, 4, 4) stack.
+
+    Returns the checks as (failure mask, message for state i) pairs in
+    check order, and the lowest eigenvalue of each state.
+    """
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    rho = np.where(finite[:, None, None], rho, 0.0)
+    herm = np.max(np.abs(rho - _dagger(rho)), axis=(1, 2))
+    tr_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    emin = np.linalg.eigvalsh(0.5 * (rho + _dagger(rho)))[:, 0]
+    checks = [
+        (~finite, lambda i: "state is not finite"),
+        (herm > 1e-10, lambda i: f"state is not Hermitian: max asymmetry {herm[i]:.3e}"),
+        (tr_err > 1e-10, lambda i: f"state trace deviates from 1 by {tr_err[i]:.3e}"),
+        (emin < -positivity_tol, lambda i: (
+            f"state has negative eigenvalue {emin[i]:.3e} "
+            f"below tolerance {positivity_tol:.1e}")),
+    ]
+    return checks, emin
+
+
+def _first_failure(checks):
+    """(index, message) of the first failing state, or None.
+
+    The lowest failing index wins, and at that index the earliest check:
+    the error a per-state loop over the stack would raise.
+    """
+    first = None
+    for mask, message in checks:
+        bad = np.flatnonzero(mask)
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (int(bad[0]), message)
+    return None if first is None else (first[0], first[1](first[0]))
+
+
+def _log_round_off(emin: np.ndarray, positivity_tol: float) -> None:
+    negative = emin < 0
+    if negative.any():
+        logger.warning(
+            "%d of %d states have a round-off negative eigenvalue "
+            "(most negative %.3e, tolerance %.1e)",
+            int(negative.sum()), emin.size, emin.min(), positivity_tol,
+        )
 
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """4 x 4 Hermitian unit-trace density matrix of the two dots."""
+    """Hermitian unit-trace density matrix of the two dots.
+
+    rho is one 4 x 4 matrix or a (B, 4, 4) stack of them.
+    """
 
     rho: np.ndarray
     basis: str = "computational"
 
     def validate(self, positivity_tol: float = POSITIVITY_TOL) -> "TwoQubitState":
         """Check Hermiticity, unit trace and positivity (up to tolerance)."""
-        rho = self.rho
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm > 1e-10:
-            raise NumericalError(f"state is not Hermitian: max asymmetry {herm:.3e}")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-10:
-            raise NumericalError(f"state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if evals.min() < -positivity_tol:
-            raise NumericalError(
-                f"state has negative eigenvalue {evals.min():.3e} "
-                f"below tolerance {positivity_tol:.1e}"
-            )
-        if evals.min() < 0:
-            logger.warning(
-                "clipping steady-state eigenvalue %.3e to 0 (round-off)", evals.min()
-            )
+        stacked = self.rho.ndim == 3
+        checks, emin = _state_checks(self.rho.reshape(-1, 4, 4), positivity_tol)
+        failure = _first_failure(checks)
+        if failure is not None:
+            i, message = failure
+            raise NumericalError(f"{message} (state {i})" if stacked else message)
+        _log_round_off(emin, positivity_tol)
         return self
 
     def in_dicke_basis(self) -> np.ndarray:
-        """Density matrix rotated to the Dicke basis {g, s, a, e}."""
+        """Density matrix (or stack) rotated to the Dicke basis {g, s, a, e}."""
         w = _DICKE_ROTATION
         return w @ self.rho @ w.conj().T
 
 
 @dataclass(frozen=True)
 class EvolutionMatrix:
-    """Real 16 x 16 stationarity system M x = b.
+    """Stack of real 16 x 16 stationarity systems M x = e_0.
 
-    m_raw is the generator before the trace-row replacement; it is kept
-    for residual checks (a steady state satisfies m_raw @ x = 0).
-    context names the collective rates for diagnostics.
+    m and m_raw have shape (B, 16, 16).  m_raw is the generator before the
+    trace-row replacement; it is kept for residual checks (a steady state
+    satisfies m_raw @ x = 0).  params holds the B parameter sets, whose
+    collective rates name a degenerate point in errors.
     """
 
     m: np.ndarray
-    b: np.ndarray
     m_raw: np.ndarray
-    context: str = ""
+    params: tuple
 
-
-def _generator_apply(mp: MediatedParams, rho: np.ndarray) -> np.ndarray:
-    h = mp.delta_omega_tilde_1 * _N_1 + mp.delta_omega_tilde_2 * _N_2
-    h = h - (mp.lambda_tilde_1 * SIGMA_1.conj().T + np.conj(mp.lambda_tilde_1) * SIGMA_1)
-    h = h - (mp.lambda_tilde_2 * SIGMA_2.conj().T + np.conj(mp.lambda_tilde_2) * SIGMA_2)
-    h = h - mp.g_coh * (SIGMA_1.conj().T @ SIGMA_2 + SIGMA_2.conj().T @ SIGMA_1)
-    out = -1j * (h @ rho - rho @ h)
-    rates = ((mp.gamma_tilde_1, 0, 0), (mp.gamma_diss, 0, 1),
-             (mp.gamma_diss, 1, 0), (mp.gamma_tilde_2, 1, 1))
-    sig = (SIGMA_1, SIGMA_2)
-    for rate, i, j in rates:
-        sd_i = sig[i].conj().T
-        out = out + 0.5 * rate * (
-            2.0 * sig[j] @ rho @ sd_i - sd_i @ sig[j] @ rho - rho @ sd_i @ sig[j]
+    def context(self, i: int) -> str:
+        """Collective rates of parameter set i, for error messages."""
+        mp = self.params[i]
+        gavg = 0.5 * (mp.gamma_tilde_1 + mp.gamma_tilde_2)
+        return (
+            f"n={mp.n}, gamma_s={gavg + mp.gamma_diss:.6e}, "
+            f"gamma_a={gavg - mp.gamma_diss:.6e}, "
+            f"|omega_s|={abs(mp.lambda_tilde_1 + mp.lambda_tilde_2) / math.sqrt(2):.6e}, "
+            f"|omega_a|={abs(mp.lambda_tilde_1 - mp.lambda_tilde_2) / math.sqrt(2):.6e}"
         )
-    return out
 
 
-def build_effective_generator(mp: MediatedParams) -> EvolutionMatrix:
-    """Assemble the real stationarity system for the mediated parameters."""
-    m_raw = np.empty((16, 16))
-    for k, basis_el in enumerate(_BASIS):
-        m_raw[:, k] = _coords(_generator_apply(mp, basis_el))
+def build_effective_generator(mps) -> EvolutionMatrix:
+    """Assemble the real stationarity systems for a sequence of mediated
+    parameter sets."""
+    params = tuple(mps)
+    m_raw = np.einsum("bp,pij->bij", _parameter_rows(params), _GENERATOR_TERMS)
     m = m_raw.copy()
-    m[0, :] = 0.0
-    m[0, :4] = 1.0
-    b = np.zeros(16)
-    b[0] = 1.0
-    gavg = 0.5 * (mp.gamma_tilde_1 + mp.gamma_tilde_2)
-    context = (
-        f"n={mp.n}, gamma_s={gavg + mp.gamma_diss:.6e}, "
-        f"gamma_a={gavg - mp.gamma_diss:.6e}, "
-        f"|omega_s|={abs(mp.lambda_tilde_1 + mp.lambda_tilde_2) / math.sqrt(2):.6e}, "
-        f"|omega_a|={abs(mp.lambda_tilde_1 - mp.lambda_tilde_2) / math.sqrt(2):.6e}"
-    )
-    return EvolutionMatrix(m=m, b=b, m_raw=m_raw, context=context)
+    m[:, 0, :] = 0.0
+    m[:, 0, :4] = 1.0
+    return EvolutionMatrix(m=m, m_raw=m_raw, params=params)
 
 
 def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitState:
-    """Solve M x = b and reconstruct the density matrix.
+    """Solve every system of the stack and reconstruct the (B, 4, 4) states.
+
+    Each state passes the TwoQubitState invariants and the stationarity
+    residual check, or the whole stack is refused.
 
     Raises
     ------
     NumericalError
-        If M is singular (for example a dark collective channel that is
-        neither decaying nor driven) or the reconstructed state violates
-        the TwoQubitState invariants.
+        Naming the first failing parameter set, if its system is singular
+        (for example a dark collective channel that is neither decaying
+        nor driven) or its state violates an invariant.
     """
+    rhs = np.zeros(16)
+    rhs[0] = 1.0
     try:
-        x = np.linalg.solve(em.m, em.b)
+        x = np.linalg.solve(em.m, rhs)
     except np.linalg.LinAlgError as exc:
+        # LU breaks down on an exactly zero pivot, which slogdet reports as
+        # sign 0 for the same matrices
+        singular = np.flatnonzero(np.linalg.slogdet(em.m)[0] == 0)
+        where = em.context(int(singular[0])) if singular.size else "unknown point"
         raise NumericalError(
             "stationarity system is singular (a collective channel is "
-            f"neither decaying nor driven): {em.context}"
+            f"neither decaying nor driven): {where}"
         ) from exc
-    if check_condition:
+    if check_condition and len(em.params):
         cond = np.linalg.cond(em.m)
-        if cond > 1e12:
+        worst = int(np.argmax(cond))
+        if cond[worst] > 1e12:
             warnings.warn(
-                f"stationarity system is ill-conditioned (cond = {cond:.3e}); "
-                f"the steady state may be inaccurate ({em.context})",
+                f"{int((cond > 1e12).sum())} stationarity systems are "
+                f"ill-conditioned (worst cond = {cond[worst]:.3e}); the steady "
+                f"state may be inaccurate ({em.context(worst)})",
                 RuntimeWarning,
                 stacklevel=2,
             )
-    rho = _from_coords(x)
-    state = TwoQubitState(rho=rho)
-    try:
-        state.validate()
-    except NumericalError as exc:
-        raise NumericalError(f"{exc}; degenerate parameter set: {em.context}") from exc
-    residual = float(np.linalg.norm(em.m_raw @ x))
-    norm = float(np.linalg.norm(em.m_raw))
-    if residual > 1e-10 * max(norm, 1.0):
-        raise NumericalError(
-            f"steady state violates stationarity: residual {residual:.3e} "
-            f"vs generator norm {norm:.3e} ({em.context})"
-        )
-    return state
+    rho = _unpack(x)
+    checks, emin = _state_checks(rho, POSITIVITY_TOL)
+    residual = np.linalg.norm(np.einsum("bij,bj->bi", em.m_raw, x), axis=1)
+    norm = np.linalg.norm(em.m_raw, axis=(1, 2))
+    checks.append((
+        residual > 1e-10 * np.maximum(norm, 1.0),
+        lambda i: (f"steady state violates stationarity: residual "
+                   f"{residual[i]:.3e} vs generator norm {norm[i]:.3e}"),
+    ))
+    failure = _first_failure(checks)
+    if failure is not None:
+        i, message = failure
+        raise NumericalError(f"{message}; degenerate parameter set: {em.context(i)}")
+    _log_round_off(emin, POSITIVITY_TOL)
+    return TwoQubitState(rho=rho)
 
 
-def steady_state(mp: MediatedParams, check_condition: bool = False) -> TwoQubitState:
-    """Steady state for the given mediated parameters (one-call form)."""
-    return solve_steady(build_effective_generator(mp), check_condition=check_condition)
+def steady_state(mps, check_condition: bool = False) -> TwoQubitState:
+    """Steady state of one MediatedParams (a 4 x 4 state) or of a sequence
+    of them (a (B, 4, 4) stack)."""
+    single = isinstance(mps, MediatedParams)
+    state = solve_steady(
+        build_effective_generator((mps,) if single else mps),
+        check_condition=check_condition,
+    )
+    return TwoQubitState(rho=state.rho[0]) if single else state
 
 
-def concurrence(state) -> float:
+def concurrence(state):
     """Two-qubit concurrence of a state or 4 x 4 density matrix.
 
     Eigenvalues of rho * (Y x Y) rho^* (Y x Y) are computed with a general
     complex eigensolver, clipped at zero, square-rooted and sorted in
-    descending order; C = max(0, l1 - l2 - l3 - l4).
+    descending order; C = max(0, l1 - l2 - l3 - l4).  A float for one
+    state, a (B,) array for a stack.
     """
     rho = np.asarray(state.rho if isinstance(state, TwoQubitState) else state, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise DomainError(
+            f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}"
+        )
+    single = rho.ndim == 2
+    rho = rho.reshape(-1, 4, 4)
     rho_tilde = _YY @ rho.conj() @ _YY
     try:
         evals = np.linalg.eigvals(rho @ rho_tilde)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"concurrence eigensolve failed: {exc}") from exc
-    lam = np.sqrt(np.clip(evals.real, 0.0, None))
-    lam[::-1].sort()
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)), axis=1)[:, ::-1]
+    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return float(c[0]) if single else c
 
 
 @dataclass(frozen=True)
 class DickePopulations:
-    """Populations in the Dicke basis plus the s-a coherence."""
+    """Populations in the Dicke basis plus the s-a coherence.
+
+    Scalars for one state, (B,) arrays for a stack.
+    """
 
     rho_gg: float
     rho_ss: float
@@ -287,12 +374,18 @@ class DickePopulations:
 def dicke_populations(state: TwoQubitState) -> DickePopulations:
     """Rotate to the Dicke basis and read off populations and rho_sa."""
     rd = state.in_dicke_basis()
+    single = rd.ndim == 2
+    rd = rd.reshape(-1, 4, 4)
+
+    def out(values):
+        return values[0].item() if single else values
+
     return DickePopulations(
-        rho_gg=float(rd[0, 0].real),
-        rho_ss=float(rd[1, 1].real),
-        rho_aa=float(rd[2, 2].real),
-        rho_ee=float(rd[3, 3].real),
-        rho_sa=complex(rd[1, 2]),
+        rho_gg=out(rd[:, 0, 0].real),
+        rho_ss=out(rd[:, 1, 1].real),
+        rho_aa=out(rd[:, 2, 2].real),
+        rho_ee=out(rd[:, 3, 3].real),
+        rho_sa=out(rd[:, 1, 2]),
     )
 
 

@@ -310,3 +310,34 @@ def test_cli_jobs_flag_gives_identical_csv(tmp_path):
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2), "--jobs", "2"]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_degenerate_point_in_a_column_exits_3_without_csv(tmp_path, monkeypatch, capsys):
+    """A dark point in the middle of an intensity column refuses the run:
+    exit code 3, its rates in the message, and no CSV at all."""
+    import dataclasses
+
+    import plasmarray.experiments as exp_mod
+
+    original = exp_mod.mediated_params
+    calls = []
+
+    def dark_second_point(*args, **kwargs):
+        mp = original(*args, **kwargs)
+        calls.append(mp)
+        if len(calls) == 2:
+            mp = dataclasses.replace(mp, gamma_diss=mp.gamma_tilde_1)
+        return mp
+
+    monkeypatch.setattr(exp_mod, "mediated_params", dark_second_point)
+    out = tmp_path / "c.csv"
+    code = main([
+        "concurrence",
+        "--set", "geometry.n=1",
+        "--set", "drive.intensity_w_cm2=5,10,20",
+        "--out", str(out),
+    ])
+    assert code == EXIT_NUMERICAL
+    assert len(calls) == 3
+    assert f"gamma_a={0.0:.6e}" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,17 +3,26 @@
 The concurrence is cross-checked against an independent brute-force
 evaluation through the matrix square root, sqrt(sqrt(rho) rho~ sqrt(rho)),
 which never shares code with the production eigensolve path.
+
+The batched production path (precomputed generator terms, stacked solve
+and eigensolves) is checked against a per-point reference kept here: the
+generator applied to each of the 16 real basis matrices in turn, one
+solve and one eigensolve per parameter set.
 """
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plasmarray import (
     DomainError,
+    MediatedParams,
     NumericalError,
     bare_couplings,
     build_coupling_matrix,
@@ -55,6 +64,105 @@ def wootters_bruteforce(rho: np.ndarray) -> float:
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
+# --------------------------------------------------------------------------
+# per-point reference
+# --------------------------------------------------------------------------
+
+PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+DICKE = np.array(
+    [[1, 0, 0, 0],
+     [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0],
+     [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0],
+     [0, 0, 0, 1]],
+    dtype=complex,
+)
+
+
+def reference_basis():
+    basis = []
+    for i in range(4):
+        b = np.zeros((4, 4), dtype=complex)
+        b[i, i] = 1.0
+        basis.append(b)
+    for (i, j) in PAIRS:
+        b = np.zeros((4, 4), dtype=complex)
+        b[i, j] = 1.0
+        b[j, i] = 1.0
+        basis.append(b)
+    for (i, j) in PAIRS:
+        b = np.zeros((4, 4), dtype=complex)
+        b[i, j] = 1.0j
+        b[j, i] = -1.0j
+        basis.append(b)
+    return basis
+
+
+def reference_coords(rho):
+    x = np.empty(16)
+    for i in range(4):
+        x[i] = rho[i, i].real
+    for k, (i, j) in enumerate(PAIRS):
+        x[4 + k] = rho[i, j].real
+        x[10 + k] = rho[i, j].imag
+    return x
+
+
+def reference_from_coords(x):
+    rho = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        rho[i, i] = x[i]
+    for k, (i, j) in enumerate(PAIRS):
+        rho[i, j] = x[4 + k] + 1j * x[10 + k]
+        rho[j, i] = x[4 + k] - 1j * x[10 + k]
+    return rho
+
+
+def reference_generator_apply(mp, rho):
+    n1 = SIGMA_1.conj().T @ SIGMA_1
+    n2 = SIGMA_2.conj().T @ SIGMA_2
+    h = mp.delta_omega_tilde_1 * n1 + mp.delta_omega_tilde_2 * n2
+    h = h - (mp.lambda_tilde_1 * SIGMA_1.conj().T + np.conj(mp.lambda_tilde_1) * SIGMA_1)
+    h = h - (mp.lambda_tilde_2 * SIGMA_2.conj().T + np.conj(mp.lambda_tilde_2) * SIGMA_2)
+    h = h - mp.g_coh * (SIGMA_1.conj().T @ SIGMA_2 + SIGMA_2.conj().T @ SIGMA_1)
+    out = -1j * (h @ rho - rho @ h)
+    rates = ((mp.gamma_tilde_1, 0, 0), (mp.gamma_diss, 0, 1),
+             (mp.gamma_diss, 1, 0), (mp.gamma_tilde_2, 1, 1))
+    sig = (SIGMA_1, SIGMA_2)
+    for rate, i, j in rates:
+        sd_i = sig[i].conj().T
+        out = out + 0.5 * rate * (
+            2.0 * sig[j] @ rho @ sd_i - sd_i @ sig[j] @ rho - rho @ sd_i @ sig[j]
+        )
+    return out
+
+
+def reference_m_raw(mp):
+    m_raw = np.empty((16, 16))
+    for k, basis_el in enumerate(reference_basis()):
+        m_raw[:, k] = reference_coords(reference_generator_apply(mp, basis_el))
+    return m_raw
+
+
+def reference_steady_rho(mp):
+    m = reference_m_raw(mp)
+    m[0, :] = 0.0
+    m[0, :4] = 1.0
+    b = np.zeros(16)
+    b[0] = 1.0
+    return reference_from_coords(np.linalg.solve(m, b))
+
+
+def reference_concurrence(rho):
+    evals = np.linalg.eigvals(rho @ (_YY @ rho.conj() @ _YY))
+    lam = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)))[::-1]
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def reference_dicke(rho):
+    rd = DICKE @ rho @ DICKE.conj().T
+    return np.array([rd[0, 0].real, rd[1, 1].real, rd[2, 2].real, rd[3, 3].real])
+
+
 def steady_for(material, qd, geometry, n, intensity_w_cm2, phi=0.0):
     geom = geometry(n)
     bc = bare_couplings(geom, qd, material)
@@ -93,15 +201,11 @@ def test_trace_fixed_by_construction(material, qd_resonant, geometry):
 
 def test_stationarity_residual(material, qd_resonant, geometry):
     mp = steady_for(material, qd_resonant, geometry, 2, 25.0)
-    em = build_effective_generator(mp)
+    em = build_effective_generator([mp])
     state = solve_steady(em)
-    x = np.empty(16)
-    x[:4] = np.diag(state.rho).real
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    for k, (i, j) in enumerate(pairs):
-        x[4 + k] = state.rho[i, j].real
-        x[10 + k] = state.rho[i, j].imag
-    assert np.linalg.norm(em.m_raw @ x) <= 1e-10 * np.linalg.norm(em.m_raw)
+    assert em.m_raw.shape == (1, 16, 16) and state.rho.shape == (1, 4, 4)
+    x = reference_coords(state.rho[0])
+    assert np.linalg.norm(em.m_raw[0] @ x) <= 1e-10 * np.linalg.norm(em.m_raw[0])
 
 
 def test_hermiticity_and_positivity_across_sweep(material, qd_antisym_35, geometry):
@@ -111,6 +215,113 @@ def test_hermiticity_and_positivity_across_sweep(material, qd_antisym_35, geomet
         evals = np.linalg.eigvalsh(state.rho)
         assert evals.min() > -1e-9
         assert abs(evals.sum() - 1.0) < 1e-10
+
+
+RATE = st.floats(min_value=1e7, max_value=1e12)
+FREQ = st.floats(min_value=-1e12, max_value=1e12)
+
+
+@st.composite
+def admissible_params(draw):
+    """Mediated parameters with a positive semidefinite rate matrix."""
+    gamma_1, gamma_2 = draw(RATE), draw(RATE)
+    mixing = draw(st.floats(min_value=-1.0, max_value=1.0))
+    empty = np.zeros((2, 1), dtype=complex)
+    return MediatedParams(
+        n=1, omega=1e15,
+        delta_omega_tilde_1=draw(FREQ), delta_omega_tilde_2=draw(FREQ),
+        gamma_tilde_1=gamma_1, gamma_tilde_2=gamma_2,
+        lambda_tilde_1=complex(draw(FREQ), draw(FREQ)),
+        lambda_tilde_2=complex(draw(FREQ), draw(FREQ)),
+        g_coh=draw(FREQ), gamma_diss=mixing * math.sqrt(gamma_1 * gamma_2),
+        g_tilde=empty, omega_tilde=empty[0], v_mat=empty.real, u_mat=empty.real,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(admissible_params(), min_size=1, max_size=6))
+def test_batched_generator_matches_reference(params):
+    m_raw = build_effective_generator(params).m_raw
+    assert m_raw.shape == (len(params), 16, 16)
+    for mp, m in zip(params, m_raw):
+        ref = reference_m_raw(mp)
+        assert np.linalg.norm(m - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_batched_states_match_per_point_reference(material, qd_resonant, qd_antisym_35,
+                                                  geometry):
+    mp = steady_for(material, qd_resonant, geometry, 1, 10.0)
+    points = [
+        steady_for(material, qd_resonant, geometry, 2, 0.0),
+        dataclasses.replace(
+            mp, gamma_diss=mp.gamma_tilde_1, lambda_tilde_2=-mp.lambda_tilde_1
+        ),
+    ]
+    for n in (1, 2, 3):
+        for qd in (qd_resonant, qd_antisym_35):
+            for intensity in (0.5, 4.0, 16.0, 64.0):
+                points.append(steady_for(material, qd, geometry, n, intensity))
+    state = steady_state(points)
+    conc = concurrence(state)
+    pops = dicke_populations(state)
+    assert state.rho.shape == (len(points), 4, 4) and conc.shape == (len(points),)
+    assert conc.max() > 0.1
+    for k, mp in enumerate(points):
+        rho = reference_steady_rho(mp)
+        assert abs(conc[k] - reference_concurrence(rho)) <= 1e-12
+        batched = [pops.rho_gg[k], pops.rho_ss[k], pops.rho_aa[k], pops.rho_ee[k]]
+        assert np.max(np.abs(np.array(batched) - reference_dicke(rho))) <= 1e-12
+
+
+def test_single_params_is_the_stack_of_one(material, qd_antisym_35, geometry):
+    mp = steady_for(material, qd_antisym_35, geometry, 1, 16.0)
+    single = steady_state(mp)
+    stacked = steady_state([mp])
+    assert single.rho.shape == (4, 4)
+    assert np.array_equal(single.rho, stacked.rho[0])
+    assert concurrence(single) == concurrence(stacked)[0]
+    assert isinstance(concurrence(single), float)
+    assert dicke_populations(single).rho_ss == dicke_populations(stacked).rho_ss[0]
+
+
+def test_dark_point_in_a_stack_names_its_rates(material, qd_resonant, geometry):
+    """One degenerate point refuses the whole stack, and the error carries
+    that point's collective rates, not its neighbours'."""
+    points = [steady_for(material, qd_resonant, geometry, 1, i) for i in (5.0, 10.0, 20.0)]
+    dark = dataclasses.replace(points[1], gamma_diss=points[1].gamma_tilde_1)
+    with pytest.raises(NumericalError) as err:
+        steady_state([points[0], dark, points[2]])
+    message = str(err.value)
+    omega_s = abs(dark.lambda_tilde_1 + dark.lambda_tilde_2) / math.sqrt(2)
+    assert f"gamma_a={0.0:.6e}" in message
+    assert f"|omega_s|={omega_s:.6e}" in message
+    assert f"|omega_a|={0.0:.6e}" in message
+    for neighbour in (points[0], points[2]):
+        other = abs(neighbour.lambda_tilde_1 + neighbour.lambda_tilde_2) / math.sqrt(2)
+        assert f"|omega_s|={other:.6e}" not in message
+
+
+def test_round_off_eigenvalues_give_one_warning_per_stack(caplog):
+    rho = np.zeros((3, 4, 4), dtype=complex)
+    for k, eps in enumerate((2e-12, 0.0, 5e-11)):
+        rho[k] = np.diag([1.0 + eps, -eps, 0.0, 0.0])
+    with caplog.at_level(logging.WARNING, logger="plasmarray.steadystate"):
+        TwoQubitState(rho=rho).validate()
+    records = [r for r in caplog.records if r.name == "plasmarray.steadystate"]
+    assert len(records) == 1
+    assert "2 of 3 states" in records[0].getMessage()
+    assert f"{-5e-11:.3e}" in records[0].getMessage()
+
+
+def test_stacked_validation_names_the_first_failing_state():
+    """The error is the one a per-state loop would raise: the lowest
+    failing index, even when a later state fails an earlier check."""
+    rho = np.zeros((4, 4, 4), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    rho[1, 0, 1] = 0.1  # not Hermitian
+    rho[2] = np.diag([1.1, -0.1, 0.0, 0.0])
+    with pytest.raises(NumericalError, match=r"not Hermitian: .* \(state 1\)"):
+        TwoQubitState(rho=rho).validate()
 
 
 def test_dark_channel_without_drive_is_rejected(material, qd_resonant, geometry):
