@@ -15,14 +15,12 @@ from .effective import (
     ComplexPole,
     CouplingMatrix,
     DickeParams,
-    EffectiveCouplings,
     MediatedParams,
     SpectrumPoint,
     build_coupling_matrix,
     complex_pole,
     decay_spectrum,
     dicke_params,
-    effective_couplings,
     mediated_params,
 )
 from .exceptions import (
@@ -45,11 +43,8 @@ from .fullmodel import (
 )
 from .numerics import (
     FitResult,
-    eig_general,
     fit_exponential_decay,
     fit_quadratic,
-    thomas_solve,
-    uniform_tridiagonal_inverse,
 )
 from .plasmonics import (
     ArrayGeometry,
@@ -70,7 +65,6 @@ from .steadystate import (
     TwoQubitState,
     build_effective_generator,
     concurrence,
-    concurrence_x_approx,
     dicke_populations,
     solve_steady,
     steady_state,

@@ -8,6 +8,9 @@ Subcommands map one-to-one to the named experiments:
     plasmarray decay       --config sys.cfg --out decay.csv --jobs 4
     plasmarray validate    --config sys.cfg --out validate.csv
 
+`--jobs k` (spectra, concurrence and decay only) spreads the chain
+lengths over k worker processes; the CSV does not depend on k.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -37,17 +40,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Steady-state entanglement mediated by a nanoparticle chain",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("couplings", "mediated coupling rates vs chain length"),
-        ("spectra", "collective decay rates vs driving frequency"),
-        ("concurrence", "stationary concurrence over intensity/detuning grids"),
-        ("decay", "optimal concurrence per chain length with decay fits"),
-        ("validate", "effective model vs explicit-mode simulation"),
+    # the sweeps that dispatch chain lengths to a process pool take --jobs
+    for name, doc, pooled in (
+        ("couplings", "mediated coupling rates vs chain length", False),
+        ("spectra", "collective decay rates vs driving frequency", True),
+        ("concurrence", "stationary concurrence over intensity/detuning grids", True),
+        ("decay", "optimal concurrence per chain length with decay fits", True),
+        ("validate", "effective model vs explicit-mode simulation", False),
     ):
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", help="configuration file (defaults used if omitted)")
         cmd.add_argument("--out", help="output CSV path (overrides output.csv)")
-        cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
+        if pooled:
+            cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
         cmd.add_argument(
             "--set", dest="overrides", action="append", default=[],
             metavar="KEY=VALUE", help="override a config entry (repeatable)",
@@ -68,7 +73,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         if args.command == "couplings":
-            rows = run_couplings(cfg, jobs=args.jobs)
+            rows = run_couplings(cfg)
             print(f"couplings: {len(rows)} rows -> {cfg.output.csv or '(no csv)'}")
         elif args.command == "spectra":
             rows = run_spectra(cfg, jobs=args.jobs)
@@ -87,7 +92,7 @@ def main(argv=None) -> int:
                 c0, tau = fits[label].coefficients
                 print(f"  sequence {label}: C0={c0:.6f}, tau={tau:.6f}")
         elif args.command == "validate":
-            rows, summaries = run_validate(cfg, jobs=args.jobs)
+            rows, summaries = run_validate(cfg)
             print(f"validate: {len(rows)} rows -> {cfg.output.csv or '(no csv)'}")
             for n in sorted(summaries):
                 print(f"  n={n}: max |C_full - C_eff| = {summaries[n]:.6f}")

@@ -73,7 +73,6 @@ class DriveConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    backend: str = "effective"     # effective | full
     fock_levels: int = 4
     memory_budget_gb: float = 8.0
     phase_mnp_drives: bool = False
@@ -189,7 +188,6 @@ _KEY_PARSERS = {
     "drive.lambda_points": ("drive", "lambda_points", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 2, k, ln)),
     "drive.phi_over_pi": ("drive", "phi_over_pi", _parse_float),
     "drive.phi_mode": ("drive", "phi_mode", lambda r, k, ln: _choice(r, k, ln, ("effective", "bare"))),
-    "solver.backend": ("solver", "backend", lambda r, k, ln: _choice(r, k, ln, ("effective", "full"))),
     "solver.fock_levels": ("solver", "fock_levels", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 2, k, ln)),
     "solver.memory_budget_gb": ("solver", "memory_budget_gb", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
     "solver.phase_mnp_drives": ("solver", "phase_mnp_drives", _parse_bool),

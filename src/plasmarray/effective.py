@@ -4,7 +4,9 @@ The chain response to the two dots and the drive is encoded by the n x n
 coupling matrix A with unit diagonal and nearest-neighbor entries
 -i*kappa/delta, where delta = i(omega_0 - omega) + gamma_0/2 is the
 complex pole of a driven damped particle.  Its inverse K folds the chain
-back onto the dots and yields
+back onto the dots.  Each dot couples only to its end particle, so the
+dots read K only through K_11 (= K_nn), the corner K_1n and the end row
+sum, which are computed in O(n) without forming A or K.  They yield
 
 * plasmon-induced single-dot terms: exciton shift, Purcell-broadened
   emission rate and enhanced excitation rate,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DomainError
-from .numerics import uniform_tridiagonal_inverse
+from .numerics import chain_end_response
 from .plasmonics import (
     ArrayGeometry,
     DriveField,
@@ -36,12 +38,10 @@ from .plasmonics import (
 __all__ = [
     "ComplexPole",
     "CouplingMatrix",
-    "EffectiveCouplings",
     "MediatedParams",
     "DickeParams",
     "complex_pole",
     "build_coupling_matrix",
-    "effective_couplings",
     "mediated_params",
     "dicke_params",
     "SpectrumPoint",
@@ -82,64 +82,31 @@ def complex_pole(mat: MaterialSystem, qd: QdParams, omega: float) -> ComplexPole
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Chain coupling matrix A and its inverse K.
+    """End-to-end response of the chain coupling matrix A.
 
     A is symmetric tridiagonal with unit diagonal and off-diagonal
-    -i*kappa/delta; K is computed by the continuant recurrence and checked
-    against the defining property ||K A - I|| < 1e-12 (relative Frobenius).
+    -i*kappa/delta.  The dots couple only to the end particles, so they
+    read K = A^-1 only through K_11 (= K_nn), the corner K_1n and the end
+    row sum, sum_j K_1j (= sum_j K_nj).  All three come from the
+    continuant closed form.
     """
 
     n: int
     kappa: float
     delta: complex
-    a: np.ndarray
-    k: np.ndarray
-    inverse_residual: float
+    k11: complex
+    k1n: complex
+    row_sum: complex
 
 
 def build_coupling_matrix(n: int, kappa: float, delta: complex) -> CouplingMatrix:
-    """Build A and K = A^-1 for an n-particle chain."""
+    """End entries of K = A^-1 for an n-particle chain."""
     if n < 1:
         raise DomainError(f"particle count must be >= 1, got {n}")
     if delta.real <= 0:
         raise DomainError(f"Re(delta) must be positive, got {delta}")
-    x = -1j * kappa / delta
-    a = np.eye(n, dtype=complex)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = x
-    a[idx + 1, idx] = x
-    k = uniform_tridiagonal_inverse(n, x)
-    residual = float(np.linalg.norm(k @ a - np.eye(n))) / math.sqrt(n)
-    return CouplingMatrix(n=n, kappa=kappa, delta=delta, a=a, k=k, inverse_residual=residual)
-
-
-@dataclass(frozen=True)
-class EffectiveCouplings:
-    """Chain-dressed dot-particle couplings and particle excitation rates.
-
-    g_tilde[i, m] = sum_v K_mv g_{i+1,v} and omega_tilde[m] = sum_v K_mv
-    Omega_v.  Only the end couplings are non-zero bare, so g_tilde rows are
-    scaled columns of K; for a single particle both dots couple to it.
-    """
-
-    g_tilde: np.ndarray      # (2, n) complex
-    omega_tilde: np.ndarray  # (n,) complex
-
-
-def _bare_coupling_vectors(n: int, g: float) -> tuple[np.ndarray, np.ndarray]:
-    g1 = np.zeros(n)
-    g2 = np.zeros(n)
-    g1[0] = g
-    g2[n - 1] = g
-    return g1, g2
-
-
-def effective_couplings(cm: CouplingMatrix, g: float, omega_m: float) -> EffectiveCouplings:
-    """Dress the bare end couplings and uniform particle drive through K."""
-    g1, g2 = _bare_coupling_vectors(cm.n, g)
-    gt = np.vstack([cm.k @ g1, cm.k @ g2]).astype(complex)
-    omt = cm.k @ (omega_m * np.ones(cm.n))
-    return EffectiveCouplings(g_tilde=gt, omega_tilde=omt)
+    k11, k1n, row_sum = chain_end_response(n, -1j * kappa / delta)
+    return CouplingMatrix(n=n, kappa=kappa, delta=delta, k11=k11, k1n=k1n, row_sum=row_sum)
 
 
 @dataclass(frozen=True)
@@ -147,9 +114,7 @@ class MediatedParams:
     """Plasmon-induced single-dot terms and dot-dot mediated couplings.
 
     All rates rad/s.  lambda_tilde_i are complex; the imaginary part is the
-    chain-funnelled drive component.  v_mat/u_mat hold the quadratures
-    V_jm = d0*Re(g~_jm) - (gamma_0/2) Im(g~_jm) and
-    U_jm = d0*Im(g~_jm) + (gamma_0/2) Re(g~_jm).
+    chain-funnelled drive component.
     """
 
     n: int
@@ -162,10 +127,6 @@ class MediatedParams:
     lambda_tilde_2: complex
     g_coh: float          # coherent coupling G12 = G21
     gamma_diss: float     # dissipative coupling Gamma12 = Gamma21
-    g_tilde: np.ndarray
-    omega_tilde: np.ndarray
-    v_mat: np.ndarray
-    u_mat: np.ndarray
 
 
 def mediated_params(
@@ -177,6 +138,14 @@ def mediated_params(
     phi_mode: str = "effective",
 ) -> MediatedParams:
     """Mediated parameters of the two dots for a given drive.
+
+    Dot i couples with rate g to its end particle only, so the chain
+    dresses it to g*K (K_11 for its own end, K_1n for the other) and the
+    uniform particle drive reaches it as Omega_m times the end row sum of
+    K.  With the quadratures V = d0*Re(g K) - (gamma_0/2) Im(g K) and
+    U = d0*Im(g K) + (gamma_0/2) Re(g K), the shifts and rates are g*V and
+    2 g*U over |delta|^2.  The chain is mirror symmetric, so both dots
+    read the same K_11 and row sum, and G12 = G21, Gamma12 = Gamma21.
 
     Parameters
     ----------
@@ -209,44 +178,36 @@ def mediated_params(
 
     g = couplings.g
     d0 = pole.detuning_0
+    half_gamma_0 = 0.5 * mat.gamma_0
     delta = pole.delta
     abs_delta_sq = abs(delta) ** 2
-    eff = effective_couplings(cm, g, drive.omega_m)
-    gt, omt = eff.g_tilde, eff.omega_tilde
 
-    v_mat = d0 * gt.real - 0.5 * mat.gamma_0 * gt.imag
-    u_mat = d0 * gt.imag + 0.5 * mat.gamma_0 * gt.real
+    def g_quadratures(k: complex) -> tuple[float, float]:
+        re, im = g * k.real, g * k.imag
+        return g * (d0 * re - half_gamma_0 * im), g * (d0 * im + half_gamma_0 * re)
 
-    g1, g2 = _bare_coupling_vectors(geom.n, g)
-    dwt1 = pole.detuning_1 - (g1 @ v_mat[0]) / abs_delta_sq
-    dwt2 = pole.detuning_2 - (g2 @ v_mat[1]) / abs_delta_sq
-    gamt1 = qd.gamma_i + 2.0 * (g1 @ u_mat[0]) / abs_delta_sq
-    gamt2 = qd.gamma_i + 2.0 * (g2 @ u_mat[1]) / abs_delta_sq
+    v_self, u_self = g_quadratures(cm.k11)
+    v_cross, u_cross = g_quadratures(cm.k1n)
+    gamma_tilde = qd.gamma_i + 2.0 * u_self / abs_delta_sq
+    funnelled = 1j * (g * (cm.row_sum * drive.omega_m)) / delta
 
-    lt1 = drive.lambda_1 + 1j * (g1 @ omt) / delta
+    lt1 = drive.lambda_1 + funnelled
     if phi_mode == "effective":
         lt2 = lt1 * complex(math.cos(drive.phi), math.sin(drive.phi))
     else:
-        lt2 = drive.lambda_2 + 1j * (g2 @ omt) / delta
-
-    g_coh = (g1 @ v_mat[1]) / abs_delta_sq
-    gamma_diss = 2.0 * (g1 @ u_mat[1]) / abs_delta_sq
+        lt2 = drive.lambda_2 + funnelled
 
     return MediatedParams(
         n=geom.n,
         omega=drive.omega,
-        delta_omega_tilde_1=float(dwt1),
-        delta_omega_tilde_2=float(dwt2),
-        gamma_tilde_1=float(gamt1),
-        gamma_tilde_2=float(gamt2),
+        delta_omega_tilde_1=pole.detuning_1 - v_self / abs_delta_sq,
+        delta_omega_tilde_2=pole.detuning_2 - v_self / abs_delta_sq,
+        gamma_tilde_1=gamma_tilde,
+        gamma_tilde_2=gamma_tilde,
         lambda_tilde_1=complex(lt1),
         lambda_tilde_2=complex(lt2),
-        g_coh=float(g_coh),
-        gamma_diss=float(gamma_diss),
-        g_tilde=gt,
-        omega_tilde=omt,
-        v_mat=v_mat,
-        u_mat=u_mat,
+        g_coh=v_cross / abs_delta_sq,
+        gamma_diss=2.0 * u_cross / abs_delta_sq,
     )
 
 

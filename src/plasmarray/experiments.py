@@ -155,7 +155,7 @@ COUPLINGS_HEADER = (
 )
 
 
-def run_couplings(cfg: ExperimentConfig, jobs: int = 1):
+def run_couplings(cfg: ExperimentConfig):
     """Mediated couplings at omega = omega_0 for each configured n.
 
     Per four-step sequence the dominant coupling (coherent for even n,
@@ -306,8 +306,6 @@ def run_concurrence_sweep(cfg: ExperimentConfig, jobs: int = 1):
     Returns (rows, optima) where optima maps n to the grid argmax
     (intensity*, delta*, concurrence*).
     """
-    if cfg.solver.backend != "effective":
-        raise ConfigError("concurrence experiment requires solver.backend = effective")
     deltas = cfg.qd.delta_over_gamma if cfg.qd.detuning_mode != "none" else (0.0,)
     phi = cfg.drive.phi_over_pi * math.pi
     mat = material_from(cfg)
@@ -374,8 +372,6 @@ def run_decay(cfg: ExperimentConfig, jobs: int = 1):
     detuning.  Fits use only strictly positive optima and need at least
     two of them per sequence.
     """
-    if cfg.solver.backend != "effective":
-        raise ConfigError("decay experiment requires solver.backend = effective")
     if cfg.drive.omega_mode != "lspr":
         raise ConfigError("decay experiment requires drive.omega_mode = lspr")
     mat = material_from(cfg)
@@ -414,9 +410,8 @@ VALIDATE_HEADER = (
 VALIDATE_INTENSITIES_W_CM2 = tuple(float(i) for i in range(0, 81, 10))
 
 
-def run_validate(cfg: ExperimentConfig, jobs: int = 1,
-                 intensities_w_cm2=VALIDATE_INTENSITIES_W_CM2):
-    """Concurrence discrepancy table between the two backends.
+def run_validate(cfg: ExperimentConfig, intensities_w_cm2=VALIDATE_INTENSITIES_W_CM2):
+    """Concurrence discrepancy table, effective vs explicit-mode model.
 
     A chain that exceeds the memory budget contributes a structured error
     row instead of aborting the whole run.

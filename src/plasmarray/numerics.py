@@ -1,10 +1,10 @@
-"""Shared numerical kernels: eigensolves, tridiagonal systems, fits.
+"""Shared numerical kernels: the chain inverse's end entries, and fits.
 
-The tridiagonal routines exploit the special structure that appears in the
-nanoparticle-chain coupling matrix: unit diagonal and one constant complex
-off-diagonal value.  The inverse of such a matrix has a closed form in
-terms of continuants (the three-term determinant recurrence), which is
-what `uniform_tridiagonal_inverse` evaluates in O(n^2) for all entries.
+The nanoparticle-chain coupling matrix has unit diagonal and one constant
+complex off-diagonal value.  The inverse of such a matrix has a closed
+form in terms of continuants (the three-term determinant recurrence);
+`chain_end_response` evaluates from it, in O(n), the three entries that
+the dots read.
 """
 
 from __future__ import annotations
@@ -16,68 +16,12 @@ import numpy as np
 from .exceptions import DomainError, NumericalError
 
 __all__ = [
-    "eig_general",
-    "thomas_solve",
     "continuants",
-    "uniform_tridiagonal_inverse",
-    "kron_chain",
+    "chain_end_response",
     "FitResult",
     "fit_exponential_decay",
     "fit_quadratic",
 ]
-
-
-def eig_general(m) -> np.ndarray:
-    """Eigenvalues of a general square complex matrix (unsorted).
-
-    Raises
-    ------
-    NumericalError
-        If the matrix contains non-finite entries or the QR iteration
-        fails to converge.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("matrix contains non-finite entries")
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-
-
-def thomas_solve(sub, diag, sup, rhs) -> np.ndarray:
-    """Solve a complex tridiagonal system by the Thomas recurrence.
-
-    Parameters
-    ----------
-    sub, diag, sup : array_like
-        Sub-diagonal (n-1), diagonal (n) and super-diagonal (n-1) entries.
-    rhs : array_like
-        Right-hand side, length n.
-    """
-    a = np.asarray(sub, dtype=complex)
-    b = np.asarray(diag, dtype=complex).copy()
-    c = np.asarray(sup, dtype=complex)
-    d = np.asarray(rhs, dtype=complex).copy()
-    n = b.size
-    if a.size != n - 1 or c.size != n - 1 or d.size != n:
-        raise DomainError("inconsistent tridiagonal system sizes")
-    scale = np.max(np.abs(b)) or 1.0
-    for i in range(1, n):
-        if abs(b[i - 1]) < 1e-300 * scale:
-            raise NumericalError(f"Thomas pivot underflow at row {i - 1}")
-        w = a[i - 1] / b[i - 1]
-        b[i] = b[i] - w * c[i - 1]
-        d[i] = d[i] - w * d[i - 1]
-    x = np.empty(n, dtype=complex)
-    if abs(b[-1]) < 1e-300 * scale:
-        raise NumericalError("Thomas pivot underflow at last row")
-    x[-1] = d[-1] / b[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (d[i] - c[i] * x[i + 1]) / b[i]
-    return x
 
 
 def continuants(n: int, offdiag: complex) -> np.ndarray:
@@ -96,18 +40,19 @@ def continuants(n: int, offdiag: complex) -> np.ndarray:
     return d
 
 
-def uniform_tridiagonal_inverse(n: int, offdiag: complex) -> np.ndarray:
-    """Inverse of the symmetric tridiagonal matrix with unit diagonal.
+def chain_end_response(n: int, offdiag: complex) -> tuple[complex, complex, complex]:
+    """K_11, the corner K_1n and the row sum sum_j K_1j of K = A^-1.
 
     For A = I + x*T (T the nearest-neighbor adjacency of a chain of n
-    sites) the inverse has the closed form
+    sites) the first row of the inverse has the closed form
 
-        (A^-1)_ij = (-x)^(j-i) * D_{i-1} * D_{n-j} / D_n,   i <= j,
+        K_1j = (-x)^(j-1) * D_{n-j} / D_n,
 
-    with D_k the continuants above.  The cost is O(n^2) and the corner
-    element (A^-1)_1n = (-x)^(n-1)/D_n is obtained without cancellation,
-    which keeps its exact parity structure (purely real or purely
-    imaginary off-diagonal x stays exactly so).
+    with D_k the continuants above, so the cost is O(n).  The corner
+    K_1n = (-x)^(n-1)/D_n is obtained without cancellation, which keeps
+    its exact parity structure (purely real or purely imaginary
+    off-diagonal x stays exactly so).  A is persymmetric, so K_nn = K_11
+    and row n sums to the same value as row 1.
 
     Raises
     ------
@@ -124,26 +69,13 @@ def uniform_tridiagonal_inverse(n: int, offdiag: complex) -> np.ndarray:
             f"coupling matrix is numerically singular: |det| = {abs(d[n]):.3e}, "
             f"continuant scale = {scale:.3e} (ratio {abs(d[n]) / scale:.3e})"
         )
-    k = np.empty((n, n), dtype=complex)
     # powers of (-x) up to n-1
-    pow_mx = np.empty(n, dtype=complex)
-    pow_mx[0] = 1.0
+    powers = np.empty(n, dtype=complex)
+    powers[0] = 1.0
     for p in range(1, n):
-        pow_mx[p] = pow_mx[p - 1] * (-offdiag)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            val = pow_mx[j - i] * d[i - 1] * d[n - j] / d[n]
-            k[i - 1, j - 1] = val
-            k[j - 1, i - 1] = val
-    return k
-
-
-def kron_chain(ops) -> np.ndarray:
-    """Kronecker product of a sequence of dense operators, left to right."""
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op))
-    return out
+        powers[p] = powers[p - 1] * (-offdiag)
+    row = powers * d[n - 1::-1] / d[n]
+    return complex(row[0]), complex(row[n - 1]), complex(row.sum())
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ __all__ = [
     "steady_state",
     "concurrence",
     "dicke_populations",
-    "concurrence_x_approx",
 ]
 
 logger = logging.getLogger(__name__)
@@ -387,18 +386,3 @@ def dicke_populations(state: TwoQubitState) -> DickePopulations:
         rho_ee=out(rd[:, 3, 3].real),
         rho_sa=out(rd[:, 1, 2]),
     )
-
-
-def concurrence_x_approx(pops: DickePopulations) -> float:
-    """X-state closed form for the concurrence in the Dicke basis.
-
-    C ~ max(0, sqrt((rho_ss - rho_aa)^2 + 4 Im(rho_sa)^2)
-               - 2 sqrt(rho_gg * rho_ee))
-
-    Exact for states that are X-shaped in the Dicke basis with no
-    ground-biexciton coherence; an approximation otherwise.
-    """
-    term = math.sqrt(
-        (pops.rho_ss - pops.rho_aa) ** 2 + 4.0 * pops.rho_sa.imag**2
-    )
-    return max(0.0, term - 2.0 * math.sqrt(max(pops.rho_gg, 0.0) * max(pops.rho_ee, 0.0)))

@@ -115,10 +115,9 @@ def test_spectra_requires_grid_mode():
         run_spectra(ExperimentConfig())
 
 
-def test_concurrence_requires_effective_backend():
-    cfg = parse_config_text("solver.backend = full")
-    with pytest.raises(ConfigError):
-        run_concurrence_sweep(cfg)
+def test_solver_backend_is_an_unknown_key(capsys):
+    assert main(["concurrence", "--set", "solver.backend=effective"]) == EXIT_CONFIG
+    assert "unknown key 'solver.backend'" in capsys.readouterr().err
 
 
 def test_validate_requires_single_detuning():
@@ -277,7 +276,7 @@ def test_cli_rejects_unreadable_config(tmp_path):
 def test_cli_maps_numerical_failure_to_exit_3(monkeypatch, capsys):
     import plasmarray.cli as cli_mod
 
-    def boom(cfg, jobs=1):
+    def boom(cfg):
         raise NumericalError("synthetic failure")
 
     monkeypatch.setattr(cli_mod, "run_couplings", boom)
@@ -310,6 +309,14 @@ def test_cli_jobs_flag_gives_identical_csv(tmp_path):
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2), "--jobs", "2"]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["couplings", "validate"])
+def test_jobs_is_rejected_where_no_pool_runs(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_cli_degenerate_point_in_a_column_exits_3_without_csv(tmp_path, monkeypatch, capsys):

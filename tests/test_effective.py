@@ -18,7 +18,6 @@ from plasmarray import (
     decay_spectrum,
     dicke_params,
     drive_rates,
-    effective_couplings,
     mediated_params,
 )
 from plasmarray.constants import W_CM2_TO_W_M2, wavelength_nm_to_omega
@@ -42,6 +41,25 @@ def _mediated_at_lspr(material, qd, geometry, n, intensity_w_cm2=0.0, phi=0.0,
     return mediated_params(geom, material, qd, drive, cm, phi_mode=phi_mode)
 
 
+def _dense_chain(n, kappa, delta):
+    """Dense A = I + x T and its LU inverse, the oracle for the end entries."""
+    x = -1j * kappa / delta
+    a = np.eye(n, dtype=complex)
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = x
+    a[idx + 1, idx] = x
+    return a, np.linalg.inv(a)
+
+
+def _assert_end_entries_match(cm, k):
+    """The three stored entries equal row 1 of the dense inverse k."""
+    n = k.shape[0]
+    tol = 1e-12 * np.abs(k).max()
+    assert abs(cm.k11 - k[0, 0]) <= tol
+    assert abs(cm.k1n - k[0, n - 1]) <= tol
+    assert abs(cm.row_sum - k[0].sum()) <= n * tol
+
+
 # --------------------------------------------------------------------------
 # coupling matrix
 # --------------------------------------------------------------------------
@@ -61,9 +79,9 @@ def test_single_particle_matrix_is_identity(material, qd_resonant, geometry):
     bc = bare_couplings(geometry(1), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
     cm = build_coupling_matrix(1, bc.kappa, pole.delta)
-    assert cm.a.shape == (1, 1)
-    assert cm.a[0, 0] == 1.0
-    assert cm.k[0, 0] == 1.0
+    a, k = _dense_chain(1, bc.kappa, pole.delta)
+    assert a[0, 0] == 1.0
+    assert cm.k11 == cm.k1n == cm.row_sum == k[0, 0] == 1.0
 
 
 def test_two_particle_inverse_matches_symbolic(material, qd_resonant, geometry):
@@ -72,9 +90,11 @@ def test_two_particle_inverse_matches_symbolic(material, qd_resonant, geometry):
     cm = build_coupling_matrix(2, bc.kappa, pole.delta)
     x = -1j * bc.kappa / pole.delta
     expected = np.array([[1.0, -x], [-x, 1.0]]) / (1.0 - x * x)
-    assert np.allclose(cm.k, expected, rtol=1e-12)
+    assert cm.k11 == pytest.approx(expected[0, 0], rel=1e-12)
+    assert cm.k1n == pytest.approx(expected[0, 1], rel=1e-12)
+    assert cm.row_sum == pytest.approx(expected[0].sum(), rel=1e-12)
     # independent dense-inversion oracle
-    assert np.allclose(cm.k, np.linalg.inv(cm.a), atol=1e-12 * np.abs(cm.k).max())
+    _assert_end_entries_match(cm, _dense_chain(2, bc.kappa, pole.delta)[1])
 
 
 @pytest.mark.parametrize("n", list(range(1, 18)))
@@ -82,8 +102,9 @@ def test_inverse_defining_property(n, material, qd_resonant, geometry):
     bc = bare_couplings(geometry(n), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
     cm = build_coupling_matrix(n, bc.kappa, pole.delta)
-    assert cm.inverse_residual < 1e-12
-    assert np.linalg.norm(cm.k @ cm.a - np.eye(n)) / math.sqrt(n) < 1e-12
+    a, k = _dense_chain(n, bc.kappa, pole.delta)
+    assert np.linalg.norm(k @ a - np.eye(n)) / math.sqrt(n) < 1e-12
+    _assert_end_entries_match(cm, k)
 
 
 def test_inverse_matches_dense_off_resonance(material, qd_resonant, geometry):
@@ -91,7 +112,7 @@ def test_inverse_matches_dense_off_resonance(material, qd_resonant, geometry):
     omega = wavelength_nm_to_omega(455.0)
     pole = complex_pole(material, qd_resonant, omega)
     cm = build_coupling_matrix(7, bc.kappa, pole.delta)
-    assert np.allclose(cm.k, np.linalg.inv(cm.a), atol=1e-12 * np.abs(cm.k).max())
+    _assert_end_entries_match(cm, _dense_chain(7, bc.kappa, pole.delta)[1])
 
 
 def test_coupling_matrix_preconditions():
@@ -113,7 +134,8 @@ def test_corner_element_parity(n, material, qd_resonant, geometry):
     bc = bare_couplings(geometry(n), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
     cm = build_coupling_matrix(n, bc.kappa, pole.delta)
-    corner = cm.k[0, n - 1]
+    _assert_end_entries_match(cm, _dense_chain(n, bc.kappa, pole.delta)[1])
+    corner = cm.k1n
     if n % 2 == 1:
         assert abs(corner.imag) <= 1e-10 * abs(corner.real)
     else:
@@ -187,43 +209,65 @@ def test_distance_decay_along_sequences(start, material, qd_resonant, geometry):
 # --------------------------------------------------------------------------
 
 def test_single_particle_couples_both_dots(material, qd_resonant, geometry):
-    bc = bare_couplings(geometry(1), qd_resonant, material)
+    """Both dots dress through the one particle, K_11 = K_1n = 1, so the
+    dot-dot rates equal each dot's own plasmon-induced terms."""
+    mp = _mediated_at_lspr(material, qd_resonant, geometry, 1)
     pole = complex_pole(material, qd_resonant, material.omega_0)
-    cm = build_coupling_matrix(1, bc.kappa, pole.delta)
-    eff = effective_couplings(cm, bc.g, 0.0)
-    assert eff.g_tilde.shape == (2, 1)
-    assert eff.g_tilde[0, 0] == pytest.approx(bc.g)
-    assert eff.g_tilde[1, 0] == pytest.approx(bc.g)
+    assert mp.gamma_diss == pytest.approx(mp.gamma_tilde_1 - qd_resonant.gamma_i, rel=1e-12)
+    assert mp.g_coh == pytest.approx(pole.detuning_1 - mp.delta_omega_tilde_1,
+                                     abs=1e-12 * abs(mp.gamma_diss))
+    assert mp.gamma_tilde_2 == mp.gamma_tilde_1
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
 def test_mirror_symmetry_of_dressed_couplings(n, material, qd_resonant, geometry):
+    """K is persymmetric: dot 2's entries K_nn, K_n1 and the row-n sum
+    equal dot 1's, so the stored row-1 entries serve both dots."""
     bc = bare_couplings(geometry(n), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
+    k = _dense_chain(n, bc.kappa, pole.delta)[1]
+    tol = 1e-12 * np.abs(k).max()
+    assert abs(k[n - 1, n - 1] - k[0, 0]) <= tol
+    assert abs(k[n - 1, 0] - k[0, n - 1]) <= tol
+    assert abs(k[n - 1].sum() - k[0].sum()) <= n * tol
+    assert np.allclose(k[::-1, ::-1], k, rtol=0.0, atol=tol)
     cm = build_coupling_matrix(n, bc.kappa, pole.delta)
-    eff = effective_couplings(cm, bc.g, 1.0)
-    for m in range(n):
-        assert eff.g_tilde[0, m] == pytest.approx(eff.g_tilde[1, n - 1 - m], rel=1e-12)
+    _assert_end_entries_match(cm, k[::-1, ::-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_exchange_symmetry_of_mediated_couplings(n, material, qd_resonant, geometry):
-    """G12 = G21 and Gamma12 = Gamma21 for the mirror-symmetric chain."""
+    """G12 = G21 and Gamma12 = Gamma21 for the mirror-symmetric chain;
+    dot 2's rates and drive, from row n of the dense inverse, equal dot 1's."""
     geom = geometry(n)
     bc = bare_couplings(geom, qd_resonant, material)
-    mp = _mediated_at_lspr(material, qd_resonant, geometry, n, intensity_w_cm2=10.0)
-    g1 = np.zeros(n)
-    g2 = np.zeros(n)
-    g1[0] = bc.g
-    g2[-1] = bc.g
     pole = complex_pole(material, qd_resonant, material.omega_0)
+    drive = drive_rates(10.0 * W_CM2_TO_W_M2, material, qd_resonant, material.omega_0)
+    k = _dense_chain(n, bc.kappa, pole.delta)[1]
     abs_d2 = abs(pole.delta) ** 2
-    g21 = (g2 @ mp.v_mat[0]) / abs_d2
-    gamma21 = 2.0 * (g2 @ mp.u_mat[0]) / abs_d2
-    assert mp.g_coh == pytest.approx(g21, abs=1e-10 * max(abs(mp.g_coh), abs(mp.gamma_diss)))
-    assert mp.gamma_diss == pytest.approx(gamma21, rel=1e-10)
-    # identical dots driven in phase acquire identical effective drives
-    assert mp.lambda_tilde_1 == pytest.approx(mp.lambda_tilde_2, rel=1e-10)
+    d0, half_gamma_0 = pole.detuning_0, 0.5 * material.gamma_0
+
+    def rates(k_entry):
+        gk = bc.g * k_entry
+        v = d0 * gk.real - half_gamma_0 * gk.imag
+        u = d0 * gk.imag + half_gamma_0 * gk.real
+        return bc.g * v / abs_d2, 2.0 * bc.g * u / abs_d2
+
+    g21, gamma21 = rates(k[n - 1, 0])
+    shift_2, broadening_2 = rates(k[n - 1, n - 1])
+    lambda_2 = drive.lambda_2 + 1j * bc.g * drive.omega_m * k[n - 1].sum() / pole.delta
+    for phi_mode in ("effective", "bare"):
+        mp = _mediated_at_lspr(material, qd_resonant, geometry, n, intensity_w_cm2=10.0,
+                               phi_mode=phi_mode)
+        assert mp.g_coh == pytest.approx(
+            g21, abs=1e-10 * max(abs(mp.g_coh), abs(mp.gamma_diss)))
+        assert mp.gamma_diss == pytest.approx(gamma21, rel=1e-10)
+        assert mp.delta_omega_tilde_2 == pytest.approx(
+            pole.detuning_2 - shift_2, abs=1e-10 * broadening_2)
+        assert mp.gamma_tilde_2 == pytest.approx(qd_resonant.gamma_i + broadening_2, rel=1e-10)
+        assert mp.lambda_tilde_2 == pytest.approx(lambda_2, rel=1e-10)
+        # identical dots driven in phase acquire identical effective drives
+        assert mp.lambda_tilde_1 == pytest.approx(mp.lambda_tilde_2, rel=1e-10)
 
 
 def test_effective_detuning_unshifted_at_resonance(material, qd_resonant, geometry):

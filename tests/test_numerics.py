@@ -1,70 +1,10 @@
-"""Numerical kernels: eigensolves, tridiagonal machinery, fits."""
+"""Numerical kernels: the chain inverse's end entries, fits."""
 
 import numpy as np
 import pytest
 
-from plasmarray import (
-    DomainError,
-    NumericalError,
-    eig_general,
-    fit_exponential_decay,
-    fit_quadratic,
-    thomas_solve,
-    uniform_tridiagonal_inverse,
-)
-from plasmarray.numerics import continuants, kron_chain
-
-
-def test_eig_identity():
-    vals = np.sort(eig_general(np.eye(4)).real)
-    assert np.allclose(vals, [1, 1, 1, 1], atol=1e-12)
-
-
-def test_eig_diagonal():
-    vals = np.sort(eig_general(np.diag([1.0, 2.0, 3.0, 4.0])).real)
-    assert np.allclose(vals, [1, 2, 3, 4], atol=1e-12)
-
-
-def test_eig_hermitian_spectrum_is_real():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = a + a.conj().T
-    vals = eig_general(h)
-    assert np.max(np.abs(vals.imag)) < 1e-10 * np.linalg.norm(h)
-
-
-def test_eig_backward_error_on_random_matrices():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        norm = np.linalg.norm(a)
-        for lam in eig_general(a):
-            sigma_min = np.linalg.svd(a - lam * np.eye(4), compute_uv=False)[-1]
-            assert sigma_min <= 1e-10 * norm
-
-
-def test_eig_rejects_bad_input():
-    with pytest.raises(DomainError):
-        eig_general(np.ones((2, 3)))
-    with pytest.raises(DomainError):
-        eig_general(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_thomas_matches_dense_solve():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 5, 16):
-        diag = 2.0 + rng.normal(size=n) + 1j * rng.normal(size=n)
-        sub = 0.3 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
-        sup = 0.3 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
-        rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-        a = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        x = thomas_solve(sub, diag, sup, rhs)
-        assert np.allclose(a @ x, rhs, atol=1e-11)
-
-
-def test_thomas_size_mismatch():
-    with pytest.raises(DomainError):
-        thomas_solve([1.0], [1.0, 1.0, 1.0], [1.0], [1.0, 1.0])
+from plasmarray import DomainError, NumericalError, fit_exponential_decay, fit_quadratic
+from plasmarray.numerics import chain_end_response, continuants
 
 
 def test_continuants_match_determinants():
@@ -79,7 +19,7 @@ def test_continuants_match_determinants():
         assert abs(d[n] - np.linalg.det(a)) < 1e-10 * max(1.0, abs(d[n]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 40])
 def test_uniform_inverse_matches_dense_lu(n):
     # dense LU inversion is the independent cross-check of the continuant form
     rng = np.random.default_rng(n)
@@ -88,16 +28,21 @@ def test_uniform_inverse_matches_dense_lu(n):
     idx = np.arange(n - 1)
     a[idx, idx + 1] = x
     a[idx + 1, idx] = x
-    k = uniform_tridiagonal_inverse(n, x)
-    assert np.allclose(k, np.linalg.inv(a), atol=1e-11)
+    k = np.linalg.inv(a)
     assert np.allclose(k @ a, np.eye(n), atol=1e-11)
+    k11, k1n, row_sum = chain_end_response(n, x)
+    assert abs(k11 - k[0, 0]) < 1e-11
+    assert abs(k1n - k[0, n - 1]) < 1e-11
+    assert abs(row_sum - k[0].sum()) < 1e-11
 
 
 def test_uniform_inverse_two_by_two_closed_form():
     x = 0.3 - 0.7j
-    k = uniform_tridiagonal_inverse(2, x)
     det = 1.0 - x * x
-    assert np.allclose(k, np.array([[1.0, -x], [-x, 1.0]]) / det, atol=1e-14)
+    k11, k1n, row_sum = chain_end_response(2, x)
+    assert abs(k11 - 1.0 / det) < 1e-14
+    assert abs(k1n + x / det) < 1e-14
+    assert abs(row_sum - (1.0 - x) / det) < 1e-14
 
 
 def test_uniform_inverse_detects_singularity():
@@ -105,15 +50,7 @@ def test_uniform_inverse_detects_singularity():
     n = 4
     lam = 2.0 * np.cos(np.pi / (n + 1))
     with pytest.raises(NumericalError):
-        uniform_tridiagonal_inverse(n, -1.0 / lam)
-
-
-def test_kron_chain_mixed_product_property():
-    rng = np.random.default_rng(5)
-    a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-    left = kron_chain([a, b]) @ kron_chain([c, d])
-    right = kron_chain([a @ c, b @ d])
-    assert np.allclose(left, right, atol=1e-12)
+        chain_end_response(n, -1.0 / lam)
 
 
 def test_exponential_fit_exact_recovery():

@@ -29,7 +29,6 @@ from plasmarray import (
     build_effective_generator,
     complex_pole,
     concurrence,
-    concurrence_x_approx,
     dicke_populations,
     drive_rates,
     mediated_params,
@@ -226,7 +225,6 @@ def admissible_params(draw):
     """Mediated parameters with a positive semidefinite rate matrix."""
     gamma_1, gamma_2 = draw(RATE), draw(RATE)
     mixing = draw(st.floats(min_value=-1.0, max_value=1.0))
-    empty = np.zeros((2, 1), dtype=complex)
     return MediatedParams(
         n=1, omega=1e15,
         delta_omega_tilde_1=draw(FREQ), delta_omega_tilde_2=draw(FREQ),
@@ -234,7 +232,6 @@ def admissible_params(draw):
         lambda_tilde_1=complex(draw(FREQ), draw(FREQ)),
         lambda_tilde_2=complex(draw(FREQ), draw(FREQ)),
         g_coh=draw(FREQ), gamma_diss=mixing * math.sqrt(gamma_1 * gamma_2),
-        g_tilde=empty, omega_tilde=empty[0], v_mat=empty.real, u_mat=empty.real,
     )
 
 
@@ -451,33 +448,6 @@ def test_population_sum_preserved(material, qd_antisym_35, geometry):
     assert total == pytest.approx(1.0, abs=1e-10)
     for p in (pops.rho_gg, pops.rho_ss, pops.rho_aa, pops.rho_ee):
         assert -1e-9 <= p <= 1.0 + 1e-9
-
-
-def test_x_approx_exact_cases():
-    pops_bell = dicke_populations(TwoQubitState(rho=BELL_S))
-    assert concurrence_x_approx(pops_bell) == pytest.approx(1.0, abs=1e-12)
-    half = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    pops_half = dicke_populations(TwoQubitState(rho=half))
-    assert concurrence_x_approx(pops_half) == 0.0
-
-
-def test_x_approx_tracks_exact_at_weak_drive(material, qd_antisym_35, geometry):
-    """The closed form is exact when only the X elements survive; that is
-    the weak-drive limit here, where the residual coherences scale away
-    quadratically."""
-    state = steady_state(steady_for(material, qd_antisym_35, geometry, 1, 0.001))
-    err = abs(concurrence_x_approx(dicke_populations(state)) - concurrence(state))
-    assert err < 1e-6
-
-
-def test_x_approx_stays_qualitative_at_strong_drive(material, qd_antisym_35, geometry):
-    # non-X coherences grow with drive; the closed form stays within 0.1
-    worst = 0.0
-    for intensity in (0.5, 4.0, 16.0, 64.0):
-        state = steady_state(steady_for(material, qd_antisym_35, geometry, 1, intensity))
-        err = abs(concurrence_x_approx(dicke_populations(state)) - concurrence(state))
-        worst = max(worst, err)
-    assert worst < 0.1
 
 
 def test_symmetric_drive_leaves_sa_coherence_real(material, qd_resonant, geometry):
