@@ -13,11 +13,9 @@ named sweep experiments with CSV output.
 from .config import ExperimentConfig, apply_overrides, parse_config, parse_config_text
 from .effective import (
     ComplexPole,
-    CouplingMatrix,
+    DecaySpectrum,
     DickeParams,
     MediatedParams,
-    SpectrumPoint,
-    build_coupling_matrix,
     complex_pole,
     decay_spectrum,
     dicke_params,
@@ -31,16 +29,7 @@ from .exceptions import (
     NumericalError,
     PlasmarrayError,
 )
-from .fullmodel import (
-    FockConfig,
-    FullSystem,
-    build_full_system,
-    liouvillian,
-    mean_mode_occupation,
-    reduce_to_qubits,
-    steady_state_full,
-    validate_against_effective,
-)
+from .fullmodel import FockConfig, validate_against_effective
 from .numerics import (
     FitResult,
     fit_exponential_decay,
@@ -61,12 +50,9 @@ from .plasmonics import (
 )
 from .steadystate import (
     DickePopulations,
-    EvolutionMatrix,
     TwoQubitState,
-    build_effective_generator,
     concurrence,
     dicke_populations,
-    solve_steady,
     steady_state,
 )
 

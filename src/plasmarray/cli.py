@@ -8,8 +8,8 @@ Subcommands map one-to-one to the named experiments:
     plasmarray decay       --config sys.cfg --out decay.csv --jobs 4
     plasmarray validate    --config sys.cfg --out validate.csv
 
-`--jobs k` (spectra, concurrence and decay only) spreads the chain
-lengths over k worker processes; the CSV does not depend on k.
+`--jobs k` (concurrence and decay only) spreads the chain lengths over k
+worker processes; the CSV does not depend on k.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the sweeps that dispatch chain lengths to a process pool take --jobs
     for name, doc, pooled in (
         ("couplings", "mediated coupling rates vs chain length", False),
-        ("spectra", "collective decay rates vs driving frequency", True),
+        ("spectra", "collective decay rates vs driving frequency", False),
         ("concurrence", "stationary concurrence over intensity/detuning grids", True),
         ("decay", "optimal concurrence per chain length with decay fits", True),
         ("validate", "effective model vs explicit-mode simulation", False),
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
             rows = run_couplings(cfg)
             print(f"couplings: {len(rows)} rows -> {cfg.output.csv or '(no csv)'}")
         elif args.command == "spectra":
-            rows = run_spectra(cfg, jobs=args.jobs)
+            rows = run_spectra(cfg)
             print(f"spectra: {len(rows)} rows -> {cfg.output.csv or '(no csv)'}")
         elif args.command == "concurrence":
             rows, optima = run_concurrence_sweep(cfg, jobs=args.jobs)

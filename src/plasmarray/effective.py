@@ -13,8 +13,11 @@ sum, which are computed in O(n) without forming A or K.  They yield
 * dot-dot mediated couplings: the coherent rate G12 (Hamiltonian
   exchange) and the dissipative rate Gamma12 (collective decay).
 
-Everything here is a pure function of its inputs; sweeps over frequency
-or particle number are embarrassingly parallel.
+`mediated_params` is the one entry point: it eliminates the chain once
+per call and broadcasts every rate over the drive, so a whole intensity
+column or frequency grid is one call with array-valued fields.  The
+laser intensity enters only as sqrt(I) on the drives; the chain response
+depends on the geometry and the driving frequency alone.
 """
 
 from __future__ import annotations
@@ -37,14 +40,12 @@ from .plasmonics import (
 
 __all__ = [
     "ComplexPole",
-    "CouplingMatrix",
     "MediatedParams",
     "DickeParams",
     "complex_pole",
-    "build_coupling_matrix",
     "mediated_params",
     "dicke_params",
-    "SpectrumPoint",
+    "DecaySpectrum",
     "decay_spectrum",
 ]
 
@@ -53,27 +54,32 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ComplexPole:
-    """Rotating-frame complex rates of the particle and dot responses."""
+    """Rotating-frame complex rates of the particle and dot responses.
 
-    delta: complex       # i*(omega_0 - omega) + gamma_0/2
-    delta_1: complex     # i*(omega_1 - omega) + gamma_i/2
-    delta_2: complex
-    detuning_0: float    # omega_0 - omega
-    detuning_1: float    # omega_1 - omega
-    detuning_2: float
+    Each field has the shape of the driving frequency omega: a scalar or
+    one entry per frequency.
+    """
+
+    delta: np.ndarray        # i*(omega_0 - omega) + gamma_0/2
+    delta_1: np.ndarray      # i*(omega_1 - omega) + gamma_i/2
+    delta_2: np.ndarray
+    detuning_0: np.ndarray   # omega_0 - omega
+    detuning_1: np.ndarray   # omega_1 - omega
+    detuning_2: np.ndarray
 
 
-def complex_pole(mat: MaterialSystem, qd: QdParams, omega: float) -> ComplexPole:
-    """Complex poles at driving frequency omega."""
-    if omega <= 0:
-        raise DomainError(f"driving frequency must be positive, got {omega}")
+def complex_pole(mat: MaterialSystem, qd: QdParams, omega) -> ComplexPole:
+    """Complex poles at driving frequency omega (a scalar or an array)."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
+        raise DomainError(f"driving frequency must be positive, got {omega.min()}")
     d0 = mat.omega_0 - omega
     d1 = qd.omega_1 - omega
     d2 = qd.omega_2 - omega
     return ComplexPole(
-        delta=complex(mat.gamma_0 / 2.0, d0),
-        delta_1=complex(qd.gamma_i / 2.0, d1),
-        delta_2=complex(qd.gamma_i / 2.0, d2),
+        delta=mat.gamma_0 / 2.0 + 1j * d0,
+        delta_1=qd.gamma_i / 2.0 + 1j * d1,
+        delta_2=qd.gamma_i / 2.0 + 1j * d2,
         detuning_0=d0,
         detuning_1=d1,
         detuning_2=d2,
@@ -81,52 +87,26 @@ def complex_pole(mat: MaterialSystem, qd: QdParams, omega: float) -> ComplexPole
 
 
 @dataclass(frozen=True)
-class CouplingMatrix:
-    """End-to-end response of the chain coupling matrix A.
-
-    A is symmetric tridiagonal with unit diagonal and off-diagonal
-    -i*kappa/delta.  The dots couple only to the end particles, so they
-    read K = A^-1 only through K_11 (= K_nn), the corner K_1n and the end
-    row sum, sum_j K_1j (= sum_j K_nj).  All three come from the
-    continuant closed form.
-    """
-
-    n: int
-    kappa: float
-    delta: complex
-    k11: complex
-    k1n: complex
-    row_sum: complex
-
-
-def build_coupling_matrix(n: int, kappa: float, delta: complex) -> CouplingMatrix:
-    """End entries of K = A^-1 for an n-particle chain."""
-    if n < 1:
-        raise DomainError(f"particle count must be >= 1, got {n}")
-    if delta.real <= 0:
-        raise DomainError(f"Re(delta) must be positive, got {delta}")
-    k11, k1n, row_sum = chain_end_response(n, -1j * kappa / delta)
-    return CouplingMatrix(n=n, kappa=kappa, delta=delta, k11=k11, k1n=k1n, row_sum=row_sum)
-
-
-@dataclass(frozen=True)
 class MediatedParams:
     """Plasmon-induced single-dot terms and dot-dot mediated couplings.
 
     All rates rad/s.  lambda_tilde_i are complex; the imaginary part is the
-    chain-funnelled drive component.
+    chain-funnelled drive component.  Every field but n is a scalar or a
+    (B,) array: a single point, or one point per drive intensity or
+    frequency, with the fields that do not depend on that axis left
+    scalar.
     """
 
     n: int
-    omega: float
-    delta_omega_tilde_1: float
-    delta_omega_tilde_2: float
-    gamma_tilde_1: float
-    gamma_tilde_2: float
-    lambda_tilde_1: complex
-    lambda_tilde_2: complex
-    g_coh: float          # coherent coupling G12 = G21
-    gamma_diss: float     # dissipative coupling Gamma12 = Gamma21
+    omega: np.ndarray
+    delta_omega_tilde_1: np.ndarray
+    delta_omega_tilde_2: np.ndarray
+    gamma_tilde_1: np.ndarray
+    gamma_tilde_2: np.ndarray
+    lambda_tilde_1: np.ndarray
+    lambda_tilde_2: np.ndarray
+    g_coh: np.ndarray          # coherent coupling G12 = G21
+    gamma_diss: np.ndarray     # dissipative coupling Gamma12 = Gamma21
 
 
 def mediated_params(
@@ -134,18 +114,24 @@ def mediated_params(
     mat: MaterialSystem,
     qd: QdParams,
     drive: DriveField,
-    cm: CouplingMatrix,
     phi_mode: str = "effective",
 ) -> MediatedParams:
     """Mediated parameters of the two dots for a given drive.
 
-    Dot i couples with rate g to its end particle only, so the chain
-    dresses it to g*K (K_11 for its own end, K_1n for the other) and the
-    uniform particle drive reaches it as Omega_m times the end row sum of
-    K.  With the quadratures V = d0*Re(g K) - (gamma_0/2) Im(g K) and
-    U = d0*Im(g K) + (gamma_0/2) Re(g K), the shifts and rates are g*V and
-    2 g*U over |delta|^2.  The chain is mirror symmetric, so both dots
-    read the same K_11 and row sum, and G12 = G21, Gamma12 = Gamma21.
+    The chain is eliminated here, once per call: the pole and the bare
+    couplings give the coupling matrix A = I - i(kappa/delta) T, and the
+    dots read its inverse K only through K_11, the corner K_1n and the
+    end row sum.  Dot i couples with rate g to its end particle only, so
+    the chain dresses it to g*K (K_11 for its own end, K_1n for the
+    other) and the uniform particle drive reaches it as Omega_m times the
+    end row sum of K.  With the quadratures V = d0*Re(g K) -
+    (gamma_0/2) Im(g K) and U = d0*Im(g K) + (gamma_0/2) Re(g K), the
+    shifts and rates are g*V and 2 g*U over |delta|^2.  The chain is
+    mirror symmetric, so both dots read the same K_11 and row sum, and
+    G12 = G21, Gamma12 = Gamma21.
+
+    Every rate broadcasts over the drive: an intensity array gives one
+    point per intensity, a frequency array one point per frequency.
 
     Parameters
     ----------
@@ -157,39 +143,30 @@ def mediated_params(
 
     Raises
     ------
-    ContractError
-        If the coupling matrix was built for a different chain size or for
-        inconsistent kappa/delta.
+    NumericalError
+        If the chain's coupling matrix is numerically singular at one of
+        the driving frequencies.
     """
-    if cm.n != geom.n:
-        raise ContractError(f"coupling matrix is for n={cm.n}, geometry has n={geom.n}")
     if phi_mode not in ("effective", "bare"):
         raise DomainError(f"unknown phi_mode {phi_mode!r}")
     couplings = bare_couplings(geom, qd, mat)
     pole = complex_pole(mat, qd, drive.omega)
-    if abs(cm.delta - pole.delta) > 1e-9 * abs(pole.delta):
-        raise ContractError(
-            f"coupling matrix delta {cm.delta} does not match system delta {pole.delta}"
-        )
-    if abs(cm.kappa - couplings.kappa) > 1e-9 * abs(couplings.kappa):
-        raise ContractError(
-            f"coupling matrix kappa {cm.kappa} does not match system kappa {couplings.kappa}"
-        )
+    delta = pole.delta
+    k11, k1n, row_sum = chain_end_response(geom.n, -1j * couplings.kappa / delta)
 
     g = couplings.g
     d0 = pole.detuning_0
     half_gamma_0 = 0.5 * mat.gamma_0
-    delta = pole.delta
-    abs_delta_sq = abs(delta) ** 2
+    abs_delta_sq = np.abs(delta) ** 2
 
-    def g_quadratures(k: complex) -> tuple[float, float]:
+    def g_quadratures(k):
         re, im = g * k.real, g * k.imag
         return g * (d0 * re - half_gamma_0 * im), g * (d0 * im + half_gamma_0 * re)
 
-    v_self, u_self = g_quadratures(cm.k11)
-    v_cross, u_cross = g_quadratures(cm.k1n)
+    v_self, u_self = g_quadratures(k11)
+    v_cross, u_cross = g_quadratures(k1n)
     gamma_tilde = qd.gamma_i + 2.0 * u_self / abs_delta_sq
-    funnelled = 1j * (g * (cm.row_sum * drive.omega_m)) / delta
+    funnelled = 1j * (g * (row_sum * drive.omega_m)) / delta
 
     lt1 = drive.lambda_1 + funnelled
     if phi_mode == "effective":
@@ -204,8 +181,8 @@ def mediated_params(
         delta_omega_tilde_2=pole.detuning_2 - v_self / abs_delta_sq,
         gamma_tilde_1=gamma_tilde,
         gamma_tilde_2=gamma_tilde,
-        lambda_tilde_1=complex(lt1),
-        lambda_tilde_2=complex(lt2),
+        lambda_tilde_1=lt1,
+        lambda_tilde_2=lt2,
         g_coh=v_cross / abs_delta_sq,
         gamma_diss=2.0 * u_cross / abs_delta_sq,
     )
@@ -220,7 +197,7 @@ class DickeParams:
     coupling term enters with a minus sign for the symmetric state).
     gamma_s/gamma_a = gamma~ +/- Gamma12 are the collective decay rates
     and omega_s/omega_a = (lambda~_1 +/- lambda~_2)/sqrt(2) the collective
-    drive rates.
+    drive rates.  Fields broadcast like those of MediatedParams.
     """
 
     e_plus: float
@@ -253,15 +230,18 @@ def dicke_params(mp: MediatedParams) -> DickeParams:
 
 
 @dataclass(frozen=True)
-class SpectrumPoint:
-    """One row of a decay-rate spectrum."""
+class DecaySpectrum:
+    """Decay rates and mediated couplings over a frequency grid.
 
-    omega: float
-    gamma_s: float
-    gamma_a: float
-    gamma_tilde: float
-    g_coh: float
-    gamma_diss: float
+    Every field is a (B,) array, one entry per grid frequency.
+    """
+
+    omega: np.ndarray
+    gamma_s: np.ndarray
+    gamma_a: np.ndarray
+    gamma_tilde: np.ndarray
+    g_coh: np.ndarray
+    gamma_diss: np.ndarray
 
 
 def decay_spectrum(
@@ -269,34 +249,25 @@ def decay_spectrum(
     geom: ArrayGeometry,
     mat: MaterialSystem,
     qd: QdParams,
-) -> list[SpectrumPoint]:
+) -> DecaySpectrum:
     """Collective decay rates and mediated couplings across a frequency grid.
 
     The mediated rates are independent of the drive intensity, so the
-    spectrum is computed at zero drive.  The grid must be non-empty and
-    strictly increasing.
+    spectrum is computed at zero drive, in one mediated-parameter call over
+    the whole grid.  The grid must be non-empty and strictly increasing.
     """
     omegas = np.asarray(omega_grid, dtype=float)
     if omegas.size == 0:
         raise ContractError("frequency grid is empty")
     if omegas.size > 1 and not np.all(np.diff(omegas) > 0):
         raise ContractError("frequency grid must be strictly increasing")
-    couplings = bare_couplings(geom, qd, mat)
-    rows = []
-    for omega in omegas:
-        pole = complex_pole(mat, qd, float(omega))
-        cm = build_coupling_matrix(geom.n, couplings.kappa, pole.delta)
-        drive = drive_rates(0.0, mat, qd, float(omega))
-        mp = mediated_params(geom, mat, qd, drive, cm)
-        dk = dicke_params(mp)
-        rows.append(
-            SpectrumPoint(
-                omega=float(omega),
-                gamma_s=dk.gamma_s,
-                gamma_a=dk.gamma_a,
-                gamma_tilde=dk.gamma_tilde,
-                g_coh=mp.g_coh,
-                gamma_diss=mp.gamma_diss,
-            )
-        )
-    return rows
+    mp = mediated_params(geom, mat, qd, drive_rates(0.0, mat, qd, omegas))
+    dk = dicke_params(mp)
+    return DecaySpectrum(
+        omega=omegas,
+        gamma_s=dk.gamma_s,
+        gamma_a=dk.gamma_a,
+        gamma_tilde=dk.gamma_tilde,
+        g_coh=mp.g_coh,
+        gamma_diss=mp.gamma_diss,
+    )

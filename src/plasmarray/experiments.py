@@ -7,14 +7,17 @@ significant-digit precision.  Re-running with the same config reproduces
 the CSV byte for byte: grids are fixed tuples, solvers are deterministic
 and rows are emitted in a fixed order.
 
-The concurrence and decay sweeps derive the material once per run and
-the chain inverse once per chain length n.  Each (n, detuning) pair is an
-intensity column: its mediated parameters are built point by point, then
-the whole column goes through the steady-state solve, the state checks,
-the concurrence and the Dicke rotation as one stack (see steadystate).
+Every experiment derives the material once per run and makes one
+mediated-parameter call per chain and drive axis: `couplings` one per
+chain length n, `spectra` one per n over the whole frequency grid, and
+the concurrence and decay sweeps one per (n, detuning) intensity column.
+Such a column then goes through the steady-state solve, the state
+checks, the concurrence and the Dicke rotation as one stack (see
+steadystate).
 
-Chain lengths are dispatched to a process pool when jobs > 1; workers
-share nothing mutable and results are collected in task order.
+The concurrence and decay sweeps dispatch chain lengths to a process
+pool when jobs > 1; workers share nothing mutable and results are
+collected in task order.
 """
 
 from __future__ import annotations
@@ -22,14 +25,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from .config import ExperimentConfig
 from .constants import NM, W_CM2_TO_W_M2, omega_to_wavelength_nm, wavelength_nm_to_omega
-from .effective import (
-    build_coupling_matrix,
-    complex_pole,
-    decay_spectrum,
-    mediated_params,
-)
+from .effective import decay_spectrum, mediated_params
 from .exceptions import ConfigError, MemoryBudgetError
 from .fullmodel import FockConfig, validate_against_effective
 from .numerics import fit_exponential_decay, fit_quadratic
@@ -39,7 +39,6 @@ from .plasmonics import (
     HostMedium,
     MaterialSystem,
     QdParams,
-    bare_couplings,
     derive_material,
     drive_rates,
 )
@@ -166,14 +165,11 @@ def run_couplings(cfg: ExperimentConfig):
         raise ConfigError("couplings experiment requires drive.omega_mode = lspr")
     mat = material_from(cfg)
     qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
+    drive = drive_rates(0.0, mat, qd, mat.omega_0)
     points = []
     for n in sorted(set(cfg.geometry.n)):
         geom = geometry_from(cfg, n)
-        couplings = bare_couplings(geom, qd, mat)
-        pole = complex_pole(mat, qd, mat.omega_0)
-        cm = build_coupling_matrix(n, couplings.kappa, pole.delta)
-        drive = drive_rates(0.0, mat, qd, mat.omega_0)
-        mp = mediated_params(geom, mat, qd, drive, cm)
+        mp = mediated_params(geom, mat, qd, drive)
         dist_um = (geom.d_qq - 2.0 * geom.r0) / 1e-6
         points.append((n, dist_um, mp.g_coh, mp.gamma_diss))
 
@@ -213,32 +209,26 @@ SPECTRA_HEADER = (
 )
 
 
-def _spectra_task(args):
-    cfg, n = args
-    mat = material_from(cfg)
-    qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
-    geom = geometry_from(cfg, n)
-    # wavelength grid descending in lambda gives an ascending omega grid
-    lam_lo, lam_hi = cfg.drive.lambda_min_nm, cfg.drive.lambda_max_nm
-    npts = cfg.drive.lambda_points
-    lambdas = [lam_hi - k * (lam_hi - lam_lo) / (npts - 1) for k in range(npts)]
-    omegas = [wavelength_nm_to_omega(lam) for lam in lambdas]
-    spectrum = decay_spectrum(omegas, geom, mat, qd)
-    return [
-        (n, pt.omega, omega_to_wavelength_nm(pt.omega), pt.gamma_s, pt.gamma_a,
-         pt.gamma_tilde, pt.g_coh, pt.gamma_diss, mat.omega_0)
-        for pt in spectrum
-    ]
-
-
-def run_spectra(cfg: ExperimentConfig, jobs: int = 1):
+def run_spectra(cfg: ExperimentConfig):
     """Symmetric/antisymmetric decay rates over the wavelength grid."""
     if cfg.drive.omega_mode != "grid":
         raise ConfigError("spectra experiment requires drive.omega_mode = grid")
     if cfg.drive.lambda_max_nm <= cfg.drive.lambda_min_nm:
         raise ConfigError("lambda_max_nm must exceed lambda_min_nm")
-    tasks = [(cfg, n) for n in sorted(set(cfg.geometry.n))]
-    rows = [row for chunk in _map_tasks(_spectra_task, tasks, jobs) for row in chunk]
+    mat = material_from(cfg)
+    qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
+    # wavelength grid descending in lambda gives an ascending omega grid
+    lam_lo, lam_hi = cfg.drive.lambda_min_nm, cfg.drive.lambda_max_nm
+    npts = cfg.drive.lambda_points
+    lambdas = lam_hi - np.arange(npts) * (lam_hi - lam_lo) / (npts - 1)
+    omegas = wavelength_nm_to_omega(lambdas)
+    rows = []
+    for n in sorted(set(cfg.geometry.n)):
+        spec = decay_spectrum(omegas, geometry_from(cfg, n), mat, qd)
+        columns = (spec.omega, omega_to_wavelength_nm(spec.omega), spec.gamma_s,
+                   spec.gamma_a, spec.gamma_tilde, spec.g_coh, spec.gamma_diss)
+        rows += [(n, *values, mat.omega_0)
+                 for values in zip(*(column.tolist() for column in columns))]
     if cfg.output.csv:
         write_csv(cfg.output.csv, SPECTRA_HEADER, rows, cfg.output.precision)
     return rows
@@ -254,50 +244,34 @@ CONCURRENCE_HEADER = (
 )
 
 
-def _chain(cfg: ExperimentConfig, mat: MaterialSystem, n: int, omega: float):
-    """Geometry and chain inverse for one n.
-
-    kappa and delta depend only on the geometry and the frequency, so the
-    resonant dots stand in for any detuning.  Also returns those dots.
-    """
-    geom = geometry_from(cfg, n)
-    qd0 = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
-    kappa = bare_couplings(geom, qd0, mat).kappa
-    cm = build_coupling_matrix(n, kappa, complex_pole(mat, qd0, omega).delta)
-    return geom, qd0, cm
-
-
-def _concurrence_rows(cfg, mat, geom, cm, omega, deltas, phi, detuning_mode):
+def _concurrence_rows(cfg, mat, geom, omega, deltas, phi, detuning_mode):
     """Rows of every (detuning, intensity) point of one chain, detuning-major.
 
-    Each detuning's intensity column is solved as one stack.
+    Each detuning's intensity column is one mediated-parameter call and
+    one steady-state stack.
     """
+    intensities = np.array(cfg.drive.intensity_w_cm2, dtype=float)
     rows = []
     for delta_over_gamma in deltas:
         d1, d2 = detuning_pair(detuning_mode, delta_over_gamma, cfg.qd.gamma_i)
         qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i, d1, d2)
-        mps = [
-            mediated_params(geom, mat, qd,
-                            drive_rates(intensity * W_CM2_TO_W_M2, mat, qd, omega, phi),
-                            cm, phi_mode=cfg.drive.phi_mode)
-            for intensity in cfg.drive.intensity_w_cm2
-        ]
-        state = steady_state(mps)
+        drive = drive_rates(intensities * W_CM2_TO_W_M2, mat, qd, omega, phi)
+        state = steady_state(mediated_params(geom, mat, qd, drive,
+                                             phi_mode=cfg.drive.phi_mode))
         pops = dicke_populations(state)
-        columns = zip(cfg.drive.intensity_w_cm2, concurrence(state).tolist(),
+        columns = zip(intensities.tolist(), concurrence(state).tolist(),
                       pops.rho_gg.tolist(), pops.rho_ss.tolist(),
                       pops.rho_aa.tolist(), pops.rho_ee.tolist())
-        rows += [(geom.n, float(intensity), float(delta_over_gamma), *values)
+        rows += [(geom.n, intensity, float(delta_over_gamma), *values)
                  for intensity, *values in columns]
     return rows
 
 
 def _concurrence_task(args):
-    """All (detuning, intensity) points of one n; one chain inverse."""
+    """All (detuning, intensity) points of one n."""
     cfg, mat, n, deltas, phi, detuning_mode = args
-    omega = single_omega(cfg, mat)
-    geom, _, cm = _chain(cfg, mat, n, omega)
-    return _concurrence_rows(cfg, mat, geom, cm, omega, deltas, phi, detuning_mode)
+    return _concurrence_rows(cfg, mat, geometry_from(cfg, n), single_omega(cfg, mat),
+                             deltas, phi, detuning_mode)
 
 
 def run_concurrence_sweep(cfg: ExperimentConfig, jobs: int = 1):
@@ -351,12 +325,13 @@ def _decay_scheme(cfg: ExperimentConfig, n: int, g_coh_sign: float):
 def _decay_task(args):
     """Optimize one n over its scheme's (intensity, detuning) grid."""
     cfg, mat, n = args
-    geom, qd0, cm = _chain(cfg, mat, n, mat.omega_0)
+    geom = geometry_from(cfg, n)
+    qd0 = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
     drive0 = drive_rates(0.0, mat, qd0, mat.omega_0)
-    g_sign = math.copysign(1.0, mediated_params(geom, mat, qd0, drive0, cm).g_coh or 1.0)
+    g_sign = math.copysign(1.0, mediated_params(geom, mat, qd0, drive0).g_coh or 1.0)
     mode, deltas, phi = _decay_scheme(cfg, n, g_sign)
     best = (-1.0, 0.0, 0.0)
-    for row in _concurrence_rows(cfg, mat, geom, cm, mat.omega_0, deltas, phi, mode):
+    for row in _concurrence_rows(cfg, mat, geom, mat.omega_0, deltas, phi, mode):
         if row[3] > best[0]:
             best = (row[3], row[1], row[2])
     return n, _sequence_label(n), best[0], best[1], best[2]
@@ -439,7 +414,6 @@ def run_validate(cfg: ExperimentConfig, intensities_w_cm2=VALIDATE_INTENSITIES_W
                 geom, mat, qd, fock,
                 [i * W_CM2_TO_W_M2 for i in intensities_w_cm2],
                 omega=omega, phi=phi,
-                phase_mnp_drives=cfg.solver.phase_mnp_drives,
             )
         except MemoryBudgetError as exc:
             rows.append((n, cfg.solver.fock_levels, None, None, None, None, str(exc)))

@@ -15,14 +15,13 @@ superoperator exceeds the memory budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .effective import build_coupling_matrix, complex_pole, mediated_params
+from .effective import complex_pole, mediated_params
 from .exceptions import DomainError, MemoryBudgetError, NumericalError
 from .plasmonics import (
     ArrayGeometry,
@@ -119,17 +118,14 @@ def build_full_system(
     qd: QdParams,
     drive: DriveField,
     cfg: FockConfig,
-    phase_mnp_drives: bool = False,
 ) -> FullSystem:
     """Hamiltonian and collapse operators in the rotating frame of the drive.
 
     Includes per-dot detuning and drive, per-mode detuning and drive,
     nearest-neighbor mode hopping -kappa(a_m^+ a_v + h.c.) and end-only
     dot-mode exchange -g(s_i^+ a_m + h.c.).  Collapse channels are
-    sqrt(gamma_i) s_i and sqrt(gamma_0) a_m.
-
-    With phase_mnp_drives the drive of the mode nearest dot 2 inherits the
-    inter-laser phase e^{i phi}; by default only the dot-2 drive carries it.
+    sqrt(gamma_i) s_i and sqrt(gamma_0) a_m.  The inter-laser phase
+    e^{i phi} is carried by the dot-2 drive only.
     """
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
@@ -150,13 +146,9 @@ def build_full_system(
     h = pole.detuning_1 * (s1.getH() @ s1) + pole.detuning_2 * (s2.getH() @ s2)
     h = h - (drive.lambda_1 * s1.getH() + np.conj(drive.lambda_1) * s1)
     h = h - (drive.lambda_2 * s2.getH() + np.conj(drive.lambda_2) * s2)
-    phase = complex(math.cos(drive.phi), math.sin(drive.phi))
-    for m, a_m in enumerate(modes):
-        om_drive = drive.omega_m
-        if phase_mnp_drives and m == cfg.n - 1 and cfg.n > 1:
-            om_drive = drive.omega_m * phase
+    for a_m in modes:
         h = h + pole.detuning_0 * (a_m.getH() @ a_m)
-        h = h - (om_drive * a_m.getH() + np.conj(om_drive) * a_m)
+        h = h - (drive.omega_m * a_m.getH() + np.conj(drive.omega_m) * a_m)
     for m in range(cfg.n - 1):
         h = h - couplings.kappa * (
             modes[m].getH() @ modes[m + 1] + modes[m] @ modes[m + 1].getH()
@@ -313,7 +305,6 @@ def validate_against_effective(
     intensity_grid,
     omega: float | None = None,
     phi: float = 0.0,
-    phase_mnp_drives: bool = False,
 ) -> ValidationTable:
     """Compare full and effective steady-state concurrence over intensities.
 
@@ -323,22 +314,20 @@ def validate_against_effective(
     """
     if omega is None:
         omega = mat.omega_0
-    couplings = bare_couplings(geom, qd, mat)
-    pole = complex_pole(mat, qd, omega)
-    cm = build_coupling_matrix(geom.n, couplings.kappa, pole.delta)
-    drives = [drive_rates(float(intensity), mat, qd, omega, phi) for intensity in intensity_grid]
+    intensities = np.asarray(intensity_grid, dtype=float)
+    grid_drive = drive_rates(intensities, mat, qd, omega, phi)
     c_effs = concurrence(steady_state(
-        [mediated_params(geom, mat, qd, drive, cm, phi_mode="bare") for drive in drives]
-    )).tolist()
+        mediated_params(geom, mat, qd, grid_drive, phi_mode="bare"))).tolist()
     rows = []
-    for intensity, drive, c_eff in zip(intensity_grid, drives, c_effs):
-        system = build_full_system(geom, mat, qd, drive, cfg, phase_mnp_drives)
+    for intensity, c_eff in zip(intensities.tolist(), c_effs):
+        drive = drive_rates(intensity, mat, qd, omega, phi)
+        system = build_full_system(geom, mat, qd, drive, cfg)
         rho_full = steady_state_full(liouvillian(system), cfg.dim)
         state = reduce_to_qubits(rho_full, cfg).validate()
         c_full = concurrence(state)
         rows.append(
             ValidationRow(
-                intensity_w_m2=float(intensity),
+                intensity_w_m2=intensity,
                 c_eff=c_eff,
                 c_full=c_full,
                 abs_diff=abs(c_full - c_eff),

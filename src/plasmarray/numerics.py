@@ -24,23 +24,26 @@ __all__ = [
 ]
 
 
-def continuants(n: int, offdiag: complex) -> np.ndarray:
+def continuants(n: int, offdiag) -> np.ndarray:
     """Leading principal minors D_0..D_n of the n x n matrix I + x*T.
 
-    T is the path-graph adjacency matrix and x the constant off-diagonal.
-    D_k = D_{k-1} - x^2 D_{k-2}, D_0 = D_1 = 1; D_n is det(A).
+    T is the path-graph adjacency matrix and x the constant off-diagonal,
+    a scalar or an array of them; D_k sits on the last axis, so the result
+    has shape x.shape + (n + 1,).  D_k = D_{k-1} - x^2 D_{k-2},
+    D_0 = D_1 = 1; D_n is det(A).
     """
-    d = np.empty(n + 1, dtype=complex)
-    d[0] = 1.0
+    x = np.asarray(offdiag, dtype=complex)
+    d = np.empty(x.shape + (n + 1,), dtype=complex)
+    d[..., 0] = 1.0
     if n >= 1:
-        d[1] = 1.0
-    x2 = offdiag * offdiag
+        d[..., 1] = 1.0
+    x2 = x * x
     for k in range(2, n + 1):
-        d[k] = d[k - 1] - x2 * d[k - 2]
+        d[..., k] = d[..., k - 1] - x2 * d[..., k - 2]
     return d
 
 
-def chain_end_response(n: int, offdiag: complex) -> tuple[complex, complex, complex]:
+def chain_end_response(n: int, offdiag):
     """K_11, the corner K_1n and the row sum sum_j K_1j of K = A^-1.
 
     For A = I + x*T (T the nearest-neighbor adjacency of a chain of n
@@ -54,28 +57,37 @@ def chain_end_response(n: int, offdiag: complex) -> tuple[complex, complex, comp
     off-diagonal x stays exactly so).  A is persymmetric, so K_nn = K_11
     and row n sums to the same value as row 1.
 
+    x may be a scalar or an array (one chain per element, e.g. one per
+    driving frequency); each entry has the shape of x.
+
     Raises
     ------
     NumericalError
-        If det(A) is below 1e-14 of the continuant scale (near-singular),
-        with a condition report in the message.
+        If det(A) is below 1e-14 of the continuant scale (near-singular)
+        for any element, with a condition report of the first such
+        element in the message.
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    d = continuants(n, offdiag)
-    scale = float(np.max(np.abs(d)))
-    if abs(d[n]) < 1e-14 * scale:
+    x = np.asarray(offdiag, dtype=complex)
+    d = continuants(n, x)
+    det = np.abs(d[..., n])
+    scale = np.max(np.abs(d), axis=-1)
+    singular = np.flatnonzero(det < 1e-14 * scale)
+    if singular.size:
+        i = singular[0]
+        det_i, scale_i = det.flat[i], scale.flat[i]
         raise NumericalError(
-            f"coupling matrix is numerically singular: |det| = {abs(d[n]):.3e}, "
-            f"continuant scale = {scale:.3e} (ratio {abs(d[n]) / scale:.3e})"
+            f"coupling matrix is numerically singular: |det| = {det_i:.3e}, "
+            f"continuant scale = {scale_i:.3e} (ratio {det_i / scale_i:.3e})"
         )
-    # powers of (-x) up to n-1
-    powers = np.empty(n, dtype=complex)
-    powers[0] = 1.0
+    # powers of (-x) up to n-1, along the last axis like the continuants
+    powers = np.empty(x.shape + (n,), dtype=complex)
+    powers[..., 0] = 1.0
     for p in range(1, n):
-        powers[p] = powers[p - 1] * (-offdiag)
-    row = powers * d[n - 1::-1] / d[n]
-    return complex(row[0]), complex(row[n - 1]), complex(row.sum())
+        powers[..., p] = powers[..., p - 1] * (-x)
+    row = powers * d[..., n - 1::-1] / d[..., n:]
+    return row[..., 0][()], row[..., n - 1][()], row.sum(axis=-1)[()]
 
 
 @dataclass(frozen=True)

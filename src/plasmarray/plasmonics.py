@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C_LIGHT, E_CHARGE, EPS_0, HBAR, ev_to_rad_per_s
 from .exceptions import DomainError
 
@@ -129,6 +131,14 @@ def derive_material(
             mu_mnp**2 * math.sqrt(medium.eps_m) * omega_0**3
             / (3.0 * math.pi * EPS_0 * HBAR * C_LIGHT**3)
         )
+    gamma_0 = gamma_nr + gamma_r
+    if gamma_0 == 0.0:
+        # an undamped particle has no steady response: delta and the chain
+        # inverse diverge at the resonance
+        raise DomainError(
+            "plasmon damping gamma_0 is zero (gamma_p = 0 without the "
+            "radiative channel); the chain response has no steady state"
+        )
     return MaterialSystem(
         metal=metal,
         medium=medium,
@@ -138,7 +148,7 @@ def derive_material(
         mu_mnp=mu_mnp,
         gamma_nr=gamma_nr,
         gamma_r=gamma_r,
-        gamma_0=gamma_nr + gamma_r,
+        gamma_0=gamma_0,
     )
 
 
@@ -256,50 +266,54 @@ def bare_couplings(geom: ArrayGeometry, qd: QdParams, mat: MaterialSystem) -> Ba
 class DriveField:
     """A z-polarized laser drive and the excitation rates it induces.
 
-    lambda_2 carries the inter-laser phase: lambda_2 = lambda_1 * e^{i phi}.
-    weak_excitation_ratio = omega_m / gamma_0 is the diagnostic for the
-    weak-excitation regime of the adiabatic elimination.
+    intensity and omega are each a scalar or a 1-D array; every rate has
+    their broadcast shape, so one DriveField describes a whole intensity
+    column or frequency grid.  lambda_2 carries the inter-laser phase:
+    lambda_2 = lambda_1 * e^{i phi}.  weak_excitation_ratio =
+    omega_m / gamma_0 is the diagnostic for the weak-excitation regime of
+    the adiabatic elimination.
     """
 
-    intensity: float             # W/m^2
-    omega: float                 # driving frequency (rad/s)
-    e0: float                    # field amplitude (V/m)
+    intensity: np.ndarray        # W/m^2
+    omega: np.ndarray            # driving frequency (rad/s)
+    e0: np.ndarray               # field amplitude (V/m)
     phi: float                   # inter-laser phase (rad)
-    lambda_1: complex            # dot-1 excitation rate (rad/s)
-    lambda_2: complex            # dot-2 excitation rate (rad/s)
-    omega_m: float               # particle excitation rate (rad/s)
-    weak_excitation_ratio: float
+    lambda_1: np.ndarray         # dot-1 excitation rate (rad/s), complex
+    lambda_2: np.ndarray         # dot-2 excitation rate (rad/s), complex
+    omega_m: np.ndarray          # particle excitation rate (rad/s)
+    weak_excitation_ratio: np.ndarray
 
 
 def drive_rates(
-    intensity: float,
+    intensity,
     mat: MaterialSystem,
     qd: QdParams,
-    omega: float,
+    omega,
     phi: float = 0.0,
 ) -> DriveField:
     """Field amplitude and excitation rates for a drive of given intensity.
 
     Parameters
     ----------
-    intensity : float
+    intensity : float or 1-D array
         Driving intensity in W/m^2 (SI; multiply W/cm^2 by 1e4).
-    omega : float
+    omega : float or 1-D array
         Driving frequency in rad/s.
     phi : float
         Phase of the second laser relative to the first (rad).
     """
-    if intensity < 0:
-        raise DomainError(f"intensity must be >= 0, got {intensity}")
-    e0 = math.sqrt(2.0 * intensity / (C_LIGHT * math.sqrt(mat.medium.eps_m) * EPS_0))
-    lambda_1 = e0 * qd.mu_qd / HBAR
+    intensity = np.asarray(intensity, dtype=float)
+    if np.any(intensity < 0):
+        raise DomainError(f"intensity must be >= 0, got {intensity.min()}")
+    e0 = np.sqrt(2.0 * intensity / (C_LIGHT * math.sqrt(mat.medium.eps_m) * EPS_0))
+    lambda_1 = e0 * qd.mu_qd / HBAR + 0j
     omega_m = e0 * mat.mu_mnp / HBAR
     return DriveField(
-        intensity=intensity,
-        omega=omega,
+        intensity=intensity[()],
+        omega=np.asarray(omega, dtype=float)[()],
         e0=e0,
         phi=phi,
-        lambda_1=complex(lambda_1),
+        lambda_1=lambda_1,
         lambda_2=lambda_1 * complex(math.cos(phi), math.sin(phi)),
         omega_m=omega_m,
         weak_excitation_ratio=omega_m / mat.gamma_0,

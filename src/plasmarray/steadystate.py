@@ -15,11 +15,13 @@ is replaced by the trace constraint, giving rhs b = e_0.
 The generator is linear in ten real parameters (dw1, dw2, Re/Im lambda~_1,
 Re/Im lambda~_2, G12, gamma~_1, gamma~_2, Gamma12), so its 16 x 16 matrix
 is a fixed combination of ten precomputed term matrices.  Every function
-here works on a stack of B parameter sets at once: one einsum assembles
-the B systems, one batched solve gives the B states, and the state checks
+here works on a stack of B parameter sets at once: the fields of one
+MediatedParams (scalars or (B,) arrays, e.g. one entry per intensity of a
+sweep column) broadcast into B parameter rows, one einsum assembles the B
+systems, one batched solve gives the B states, and the state checks
 (Hermiticity, trace, positivity, stationarity residual), the concurrence
-and the Dicke populations are each one stacked numpy call.  A single
-parameter set is the stack of one.
+and the Dicke populations are each one stacked numpy call.  All-scalar
+fields are the stack of one.
 """
 
 from __future__ import annotations
@@ -136,18 +138,15 @@ def _generator_terms() -> np.ndarray:
 _GENERATOR_TERMS = _generator_terms()
 
 
-def _parameter_rows(mps) -> np.ndarray:
-    """(B, 10) real parameters of a stack, in the order of _GENERATOR_TERMS."""
-    return np.array(
-        [
-            (mp.delta_omega_tilde_1, mp.delta_omega_tilde_2,
-             mp.lambda_tilde_1.real, mp.lambda_tilde_1.imag,
-             mp.lambda_tilde_2.real, mp.lambda_tilde_2.imag,
-             mp.g_coh, mp.gamma_tilde_1, mp.gamma_tilde_2, mp.gamma_diss)
-            for mp in mps
-        ],
-        dtype=float,
-    ).reshape(-1, len(_GENERATOR_TERMS))
+def _parameter_rows(mp: MediatedParams) -> np.ndarray:
+    """Real parameters in the order of _GENERATOR_TERMS: (10,) when every
+    field of mp is a scalar, (B, 10) when some are (B,) arrays."""
+    lt1, lt2 = np.asarray(mp.lambda_tilde_1), np.asarray(mp.lambda_tilde_2)
+    return np.stack(np.broadcast_arrays(
+        mp.delta_omega_tilde_1, mp.delta_omega_tilde_2,
+        lt1.real, lt1.imag, lt2.real, lt2.imag,
+        mp.g_coh, mp.gamma_tilde_1, mp.gamma_tilde_2, mp.gamma_diss,
+    ), axis=-1)
 
 
 # positivity tolerance: eigenvalues in [-POSITIVITY_TOL, 0) are tolerated
@@ -235,35 +234,40 @@ class EvolutionMatrix:
 
     m and m_raw have shape (B, 16, 16).  m_raw is the generator before the
     trace-row replacement; it is kept for residual checks (a steady state
-    satisfies m_raw @ x = 0).  params holds the B parameter sets, whose
+    satisfies m_raw @ x = 0).  rows holds the parameters the stack was
+    assembled from, (10,) for a single set and (B, 10) otherwise; their
     collective rates name a degenerate point in errors.
     """
 
     m: np.ndarray
     m_raw: np.ndarray
-    params: tuple
+    n: int
+    rows: np.ndarray
 
     def context(self, i: int) -> str:
         """Collective rates of parameter set i, for error messages."""
-        mp = self.params[i]
-        gavg = 0.5 * (mp.gamma_tilde_1 + mp.gamma_tilde_2)
+        row = self.rows.reshape(-1, self.rows.shape[-1])[i]
+        _, _, re1, im1, re2, im2, _, gamma_1, gamma_2, gamma_diss = row
+        lt1, lt2 = complex(re1, im1), complex(re2, im2)
+        gavg = 0.5 * (gamma_1 + gamma_2)
         return (
-            f"n={mp.n}, gamma_s={gavg + mp.gamma_diss:.6e}, "
-            f"gamma_a={gavg - mp.gamma_diss:.6e}, "
-            f"|omega_s|={abs(mp.lambda_tilde_1 + mp.lambda_tilde_2) / math.sqrt(2):.6e}, "
-            f"|omega_a|={abs(mp.lambda_tilde_1 - mp.lambda_tilde_2) / math.sqrt(2):.6e}"
+            f"n={self.n}, gamma_s={gavg + gamma_diss:.6e}, "
+            f"gamma_a={gavg - gamma_diss:.6e}, "
+            f"|omega_s|={abs(lt1 + lt2) / math.sqrt(2):.6e}, "
+            f"|omega_a|={abs(lt1 - lt2) / math.sqrt(2):.6e}"
         )
 
 
-def build_effective_generator(mps) -> EvolutionMatrix:
-    """Assemble the real stationarity systems for a sequence of mediated
-    parameter sets."""
-    params = tuple(mps)
-    m_raw = np.einsum("bp,pij->bij", _parameter_rows(params), _GENERATOR_TERMS)
+def build_effective_generator(mp: MediatedParams) -> EvolutionMatrix:
+    """Assemble the real stationarity systems of mediated parameters whose
+    fields are scalars or (B,) arrays."""
+    rows = _parameter_rows(mp)
+    stack = rows.reshape(-1, rows.shape[-1])
+    m_raw = np.einsum("bp,pij->bij", stack, _GENERATOR_TERMS)
     m = m_raw.copy()
     m[:, 0, :] = 0.0
     m[:, 0, :4] = 1.0
-    return EvolutionMatrix(m=m, m_raw=m_raw, params=params)
+    return EvolutionMatrix(m=m, m_raw=m_raw, n=mp.n, rows=rows)
 
 
 def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitState:
@@ -292,7 +296,7 @@ def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitS
             "stationarity system is singular (a collective channel is "
             f"neither decaying nor driven): {where}"
         ) from exc
-    if check_condition and len(em.params):
+    if check_condition and len(em.m):
         cond = np.linalg.cond(em.m)
         worst = int(np.argmax(cond))
         if cond[worst] > 1e12:
@@ -320,15 +324,12 @@ def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitS
     return TwoQubitState(rho=rho)
 
 
-def steady_state(mps, check_condition: bool = False) -> TwoQubitState:
-    """Steady state of one MediatedParams (a 4 x 4 state) or of a sequence
-    of them (a (B, 4, 4) stack)."""
-    single = isinstance(mps, MediatedParams)
-    state = solve_steady(
-        build_effective_generator((mps,) if single else mps),
-        check_condition=check_condition,
-    )
-    return TwoQubitState(rho=state.rho[0]) if single else state
+def steady_state(mp: MediatedParams, check_condition: bool = False) -> TwoQubitState:
+    """Steady state of mediated parameters: a 4 x 4 state when every field
+    is a scalar, a (B, 4, 4) stack when some are (B,) arrays."""
+    em = build_effective_generator(mp)
+    state = solve_steady(em, check_condition=check_condition)
+    return TwoQubitState(rho=state.rho.reshape(em.rows.shape[:-1] + (4, 4)))
 
 
 def concurrence(state):

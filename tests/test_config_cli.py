@@ -76,7 +76,7 @@ def test_malformed_line_rejected():
         "drive.omega_mode = chirped",
         "geometry.r_nm = thirty",
         "drive.intensity_w_cm2 = 10:5:1",
-        "solver.phase_mnp_drives = maybe",
+        "metal.radiative_damping = maybe",
     ],
 )
 def test_range_and_type_checks(line):
@@ -300,10 +300,10 @@ def test_cli_concurrence_prints_argmax(tmp_path, capsys):
 
 def test_cli_jobs_flag_gives_identical_csv(tmp_path):
     args = [
-        "spectra",
-        "--set", "geometry.n=2,3",
-        "--set", "drive.omega_mode=grid",
-        "--set", "drive.lambda_points=21",
+        "decay",
+        "--set", "geometry.n=1,2,3",
+        "--set", "qd.delta_over_gamma=-40,40",
+        "--set", "drive.intensity_w_cm2=1,5,20",
     ]
     out1, out2 = tmp_path / "j1.csv", tmp_path / "j2.csv"
     assert main(args + ["--out", str(out1)]) == EXIT_OK
@@ -311,7 +311,7 @@ def test_cli_jobs_flag_gives_identical_csv(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["couplings", "validate"])
+@pytest.mark.parametrize("command", ["couplings", "spectra", "validate"])
 def test_jobs_is_rejected_where_no_pool_runs(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--jobs", "2"])
@@ -324,6 +324,8 @@ def test_cli_degenerate_point_in_a_column_exits_3_without_csv(tmp_path, monkeypa
     exit code 3, its rates in the message, and no CSV at all."""
     import dataclasses
 
+    import numpy as np
+
     import plasmarray.experiments as exp_mod
 
     original = exp_mod.mediated_params
@@ -332,9 +334,9 @@ def test_cli_degenerate_point_in_a_column_exits_3_without_csv(tmp_path, monkeypa
     def dark_second_point(*args, **kwargs):
         mp = original(*args, **kwargs)
         calls.append(mp)
-        if len(calls) == 2:
-            mp = dataclasses.replace(mp, gamma_diss=mp.gamma_tilde_1)
-        return mp
+        second = np.arange(np.size(mp.lambda_tilde_1)) == 1
+        return dataclasses.replace(
+            mp, gamma_diss=np.where(second, mp.gamma_tilde_1, mp.gamma_diss))
 
     monkeypatch.setattr(exp_mod, "mediated_params", dark_second_point)
     out = tmp_path / "c.csv"
@@ -345,6 +347,56 @@ def test_cli_degenerate_point_in_a_column_exits_3_without_csv(tmp_path, monkeypa
         "--out", str(out),
     ])
     assert code == EXIT_NUMERICAL
-    assert len(calls) == 3
+    # one call for the whole column, one entry per intensity
+    assert len(calls) == 1
+    assert np.shape(calls[0].lambda_tilde_1) == (3,)
     assert f"gamma_a={0.0:.6e}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _concurrence_csv(tmp_path, name, *overrides):
+    out = tmp_path / name
+    code = main([
+        "concurrence",
+        "--set", "geometry.n=2",
+        "--set", "qd.detuning_mode=symmetric",
+        "--set", "qd.delta_over_gamma=-80",
+        "--set", "drive.intensity_w_cm2=1,5,20",
+        *[arg for item in overrides for arg in ("--set", item)],
+        "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    return out.read_bytes()
+
+
+def test_phase_keys_each_change_the_concurrence_csv(tmp_path):
+    """drive.phi_over_pi and drive.phi_mode are the two phase knobs, and
+    each one changes the output."""
+    phased = _concurrence_csv(tmp_path, "phased.csv", "drive.phi_over_pi=0.5")
+    in_phase = _concurrence_csv(tmp_path, "in_phase.csv", "drive.phi_over_pi=0")
+    bare = _concurrence_csv(tmp_path, "bare.csv", "drive.phi_over_pi=0.5",
+                            "drive.phi_mode=bare")
+    assert phased != in_phase
+    assert phased != bare
+    # the bare convention phases the dot-2 drive too
+    assert bare != in_phase
+
+
+@pytest.mark.parametrize("command", ["concurrence", "spectra"])
+def test_undamped_particles_exit_2_without_csv_or_warning(command, tmp_path, capsys):
+    """gamma_p = 0 without the radiative channel gives gamma_0 = 0; the run
+    is refused before any rate is formed."""
+    import warnings
+
+    out = tmp_path / "u.csv"
+    args = [command, "--set", "metal.gamma_p_ev=0", "--set", "metal.radiative_damping=false",
+            "--set", "geometry.n=1,2", "--out", str(out)]
+    if command == "spectra":
+        args += ["--set", "drive.omega_mode=grid", "--set", "drive.lambda_points=11"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    assert code == EXIT_CONFIG
+    assert "gamma_0 is zero" in capsys.readouterr().err
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -1,9 +1,10 @@
-"""Chain elimination: coupling matrix, mediated rates, Dicke parameters.
+"""Chain elimination: chain inverse, mediated rates, Dicke parameters.
 
 Coupling golden values were recorded from an independent evaluation
 script (continuant closed form cross-checked against dense inversion).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,15 +13,17 @@ import pytest
 from plasmarray import (
     ContractError,
     DomainError,
+    NumericalError,
     bare_couplings,
-    build_coupling_matrix,
     complex_pole,
     decay_spectrum,
+    derive_material,
     dicke_params,
     drive_rates,
     mediated_params,
 )
 from plasmarray.constants import W_CM2_TO_W_M2, wavelength_nm_to_omega
+from plasmarray.numerics import chain_end_response
 
 from conftest import GAMMA_I
 
@@ -32,13 +35,14 @@ GOLD_GAMMA_DISS_N1 = 5.1712998356597595e10
 
 def _mediated_at_lspr(material, qd, geometry, n, intensity_w_cm2=0.0, phi=0.0,
                       phi_mode="effective"):
-    geom = geometry(n)
-    bc = bare_couplings(geom, qd, material)
-    pole = complex_pole(material, qd, material.omega_0)
-    cm = build_coupling_matrix(n, bc.kappa, pole.delta)
     drive = drive_rates(intensity_w_cm2 * W_CM2_TO_W_M2, material, qd,
                         material.omega_0, phi)
-    return mediated_params(geom, material, qd, drive, cm, phi_mode=phi_mode)
+    return mediated_params(geometry(n), material, qd, drive, phi_mode=phi_mode)
+
+
+def _end_entries(n, kappa, delta):
+    """K_11, K_1n and the end row sum of the chain with pole delta."""
+    return chain_end_response(n, -1j * kappa / delta)
 
 
 def _dense_chain(n, kappa, delta):
@@ -51,17 +55,18 @@ def _dense_chain(n, kappa, delta):
     return a, np.linalg.inv(a)
 
 
-def _assert_end_entries_match(cm, k):
-    """The three stored entries equal row 1 of the dense inverse k."""
+def _assert_end_entries_match(entries, k):
+    """K_11, K_1n and the row sum equal row 1 of the dense inverse k."""
+    k11, k1n, row_sum = entries
     n = k.shape[0]
     tol = 1e-12 * np.abs(k).max()
-    assert abs(cm.k11 - k[0, 0]) <= tol
-    assert abs(cm.k1n - k[0, n - 1]) <= tol
-    assert abs(cm.row_sum - k[0].sum()) <= n * tol
+    assert abs(k11 - k[0, 0]) <= tol
+    assert abs(k1n - k[0, n - 1]) <= tol
+    assert abs(row_sum - k[0].sum()) <= n * tol
 
 
 # --------------------------------------------------------------------------
-# coupling matrix
+# chain inverse
 # --------------------------------------------------------------------------
 
 def test_complex_pole_fields(material, qd_resonant):
@@ -78,48 +83,70 @@ def test_complex_pole_fields(material, qd_resonant):
 def test_single_particle_matrix_is_identity(material, qd_resonant, geometry):
     bc = bare_couplings(geometry(1), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
-    cm = build_coupling_matrix(1, bc.kappa, pole.delta)
+    k11, k1n, row_sum = _end_entries(1, bc.kappa, pole.delta)
     a, k = _dense_chain(1, bc.kappa, pole.delta)
     assert a[0, 0] == 1.0
-    assert cm.k11 == cm.k1n == cm.row_sum == k[0, 0] == 1.0
+    assert k11 == k1n == row_sum == k[0, 0] == 1.0
 
 
 def test_two_particle_inverse_matches_symbolic(material, qd_resonant, geometry):
     bc = bare_couplings(geometry(2), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
-    cm = build_coupling_matrix(2, bc.kappa, pole.delta)
+    entries = _end_entries(2, bc.kappa, pole.delta)
     x = -1j * bc.kappa / pole.delta
     expected = np.array([[1.0, -x], [-x, 1.0]]) / (1.0 - x * x)
-    assert cm.k11 == pytest.approx(expected[0, 0], rel=1e-12)
-    assert cm.k1n == pytest.approx(expected[0, 1], rel=1e-12)
-    assert cm.row_sum == pytest.approx(expected[0].sum(), rel=1e-12)
+    assert entries[0] == pytest.approx(expected[0, 0], rel=1e-12)
+    assert entries[1] == pytest.approx(expected[0, 1], rel=1e-12)
+    assert entries[2] == pytest.approx(expected[0].sum(), rel=1e-12)
     # independent dense-inversion oracle
-    _assert_end_entries_match(cm, _dense_chain(2, bc.kappa, pole.delta)[1])
+    _assert_end_entries_match(entries, _dense_chain(2, bc.kappa, pole.delta)[1])
 
 
 @pytest.mark.parametrize("n", list(range(1, 18)))
 def test_inverse_defining_property(n, material, qd_resonant, geometry):
     bc = bare_couplings(geometry(n), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
-    cm = build_coupling_matrix(n, bc.kappa, pole.delta)
     a, k = _dense_chain(n, bc.kappa, pole.delta)
     assert np.linalg.norm(k @ a - np.eye(n)) / math.sqrt(n) < 1e-12
-    _assert_end_entries_match(cm, k)
+    _assert_end_entries_match(_end_entries(n, bc.kappa, pole.delta), k)
 
 
 def test_inverse_matches_dense_off_resonance(material, qd_resonant, geometry):
     bc = bare_couplings(geometry(7), qd_resonant, material)
     omega = wavelength_nm_to_omega(455.0)
     pole = complex_pole(material, qd_resonant, omega)
-    cm = build_coupling_matrix(7, bc.kappa, pole.delta)
-    _assert_end_entries_match(cm, _dense_chain(7, bc.kappa, pole.delta)[1])
+    _assert_end_entries_match(_end_entries(7, bc.kappa, pole.delta),
+                              _dense_chain(7, bc.kappa, pole.delta)[1])
 
 
-def test_coupling_matrix_preconditions():
+@pytest.mark.parametrize("n", list(range(1, 18)))
+def test_array_inverse_matches_dense_per_frequency(n, material, qd_resonant, geometry):
+    """One chain_end_response call over a frequency array equals the dense
+    inverse at each frequency, and keeps the exact corner parity at the
+    resonance element."""
+    bc = bare_couplings(geometry(n), qd_resonant, material)
+    omegas = np.array([wavelength_nm_to_omega(540.0), material.omega_0,
+                       wavelength_nm_to_omega(455.0)])
+    pole = complex_pole(material, qd_resonant, omegas)
+    k11, k1n, row_sum = _end_entries(n, bc.kappa, pole.delta)
+    assert k11.shape == k1n.shape == row_sum.shape == omegas.shape
+    for i, delta in enumerate(pole.delta):
+        _assert_end_entries_match((k11[i], k1n[i], row_sum[i]),
+                                  _dense_chain(n, bc.kappa, delta)[1])
+    if n % 2 == 1:
+        assert k1n[1].imag == 0.0
+    else:
+        assert k1n[1].real == 0.0
+
+
+def test_coupling_matrix_preconditions(material):
+    """A needs n >= 1 and Re(delta) = gamma_0/2 > 0; an undamped particle
+    is refused where gamma_0 is derived."""
     with pytest.raises(DomainError):
-        build_coupling_matrix(0, 1.0, 1.0 + 0j)
-    with pytest.raises(DomainError):
-        build_coupling_matrix(2, 1.0, -1.0 + 1j)
+        chain_end_response(0, 0.1j)
+    undamped = dataclasses.replace(material.metal, gamma_p=0.0)
+    with pytest.raises(DomainError, match="gamma_0 is zero"):
+        derive_material(undamped, material.medium, material.r, include_radiative=False)
 
 
 # --------------------------------------------------------------------------
@@ -133,9 +160,9 @@ def test_corner_element_parity(n, material, qd_resonant, geometry):
     resonance."""
     bc = bare_couplings(geometry(n), qd_resonant, material)
     pole = complex_pole(material, qd_resonant, material.omega_0)
-    cm = build_coupling_matrix(n, bc.kappa, pole.delta)
-    _assert_end_entries_match(cm, _dense_chain(n, bc.kappa, pole.delta)[1])
-    corner = cm.k1n
+    entries = _end_entries(n, bc.kappa, pole.delta)
+    _assert_end_entries_match(entries, _dense_chain(n, bc.kappa, pole.delta)[1])
+    corner = entries[1]
     if n % 2 == 1:
         assert abs(corner.imag) <= 1e-10 * abs(corner.real)
     else:
@@ -231,8 +258,7 @@ def test_mirror_symmetry_of_dressed_couplings(n, material, qd_resonant, geometry
     assert abs(k[n - 1, 0] - k[0, n - 1]) <= tol
     assert abs(k[n - 1].sum() - k[0].sum()) <= n * tol
     assert np.allclose(k[::-1, ::-1], k, rtol=0.0, atol=tol)
-    cm = build_coupling_matrix(n, bc.kappa, pole.delta)
-    _assert_end_entries_match(cm, k[::-1, ::-1])
+    _assert_end_entries_match(_end_entries(n, bc.kappa, pole.delta), k[::-1, ::-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -278,22 +304,82 @@ def test_effective_detuning_unshifted_at_resonance(material, qd_resonant, geomet
 
 
 def test_contract_checks(material, qd_resonant, geometry):
-    geom3 = geometry(3)
-    bc = bare_couplings(geom3, qd_resonant, material)
-    pole = complex_pole(material, qd_resonant, material.omega_0)
-    cm2 = build_coupling_matrix(2, bc.kappa, pole.delta)
     drive = drive_rates(0.0, material, qd_resonant, material.omega_0)
-    with pytest.raises(ContractError):
-        mediated_params(geom3, material, qd_resonant, drive, cm2)
-    # matrix built at a different frequency must be rejected
-    pole_off = complex_pole(material, qd_resonant, wavelength_nm_to_omega(500.0))
-    cm_off = build_coupling_matrix(3, bc.kappa, pole_off.delta)
-    with pytest.raises(ContractError):
-        mediated_params(geom3, material, qd_resonant, drive, cm_off)
     with pytest.raises(DomainError):
-        mediated_params(geom3, material, qd_resonant, drive,
-                        build_coupling_matrix(3, bc.kappa, pole.delta),
-                        phi_mode="sideways")
+        mediated_params(geometry(3), material, qd_resonant, drive, phi_mode="sideways")
+
+
+# --------------------------------------------------------------------------
+# broadcasting over the drive
+# --------------------------------------------------------------------------
+
+RATE_FIELDS = ("delta_omega_tilde_1", "delta_omega_tilde_2", "gamma_tilde_1",
+               "gamma_tilde_2", "lambda_tilde_1", "lambda_tilde_2", "g_coh", "gamma_diss")
+
+
+def _assert_stack_matches_points(stacked, points):
+    """Entry i of every field of stacked equals the field of points[i],
+    within 1e-12 of that point's largest rate."""
+    for i, mp in enumerate(points):
+        scale = max(abs(getattr(mp, name)) for name in RATE_FIELDS)
+        for name in RATE_FIELDS:
+            value = np.broadcast_to(getattr(stacked, name), (len(points),))[i]
+            assert abs(value - getattr(mp, name)) <= 1e-12 * scale, (i, name)
+        assert np.ndim(mp.g_coh) == 0
+
+
+@pytest.mark.parametrize("phi_mode", ["effective", "bare"])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_intensity_stack_equals_scalar_calls(n, phi_mode, material, geometry):
+    from plasmarray import QdParams
+
+    qd = QdParams.at_resonance(material, geometry(n).r0, GAMMA_I, 35.0 * GAMMA_I,
+                               -20.0 * GAMMA_I)
+    intensities = np.array([0.0, 0.5, 7.5, 40.0, 80.0]) * W_CM2_TO_W_M2
+    phi = 0.3 * math.pi
+    stacked = mediated_params(
+        geometry(n), material, qd,
+        drive_rates(intensities, material, qd, material.omega_0, phi), phi_mode=phi_mode)
+    assert np.shape(stacked.lambda_tilde_1) == intensities.shape
+    points = [
+        mediated_params(geometry(n), material, qd,
+                        drive_rates(i, material, qd, material.omega_0, phi),
+                        phi_mode=phi_mode)
+        for i in intensities
+    ]
+    _assert_stack_matches_points(stacked, points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_frequency_stack_equals_scalar_calls(n, material, qd_resonant, geometry):
+    omegas = wavelength_nm_to_omega(np.linspace(560.0, 420.0, 9))
+    intensity = 20.0 * W_CM2_TO_W_M2
+    stacked = mediated_params(geometry(n), material, qd_resonant,
+                              drive_rates(intensity, material, qd_resonant, omegas))
+    assert np.shape(stacked.g_coh) == omegas.shape
+    points = [
+        mediated_params(geometry(n), material, qd_resonant,
+                        drive_rates(intensity, material, qd_resonant, omega))
+        for omega in omegas
+    ]
+    _assert_stack_matches_points(stacked, points)
+
+
+def test_singular_chain_in_a_frequency_array_is_refused(material, qd_resonant, geometry):
+    """A near-singular element among well-posed ones raises, with the
+    condition report a scalar call gives for that element."""
+    n = 4
+    bc = bare_couplings(geometry(n), qd_resonant, material)
+    pole = complex_pole(material, qd_resonant, material.omega_0)
+    x = -1j * bc.kappa / pole.delta
+    singular = -1.0 / (2.0 * math.cos(math.pi / (n + 1)))
+    with pytest.raises(NumericalError) as scalar_err:
+        chain_end_response(n, singular)
+    with pytest.raises(NumericalError) as array_err:
+        chain_end_response(n, np.array([x, singular, 0.5 * x]))
+    assert str(array_err.value) == str(scalar_err.value)
+    assert str(array_err.value).startswith(
+        "coupling matrix is numerically singular: |det| = ")
 
 
 # --------------------------------------------------------------------------
@@ -355,21 +441,21 @@ def test_degenerate_levels_for_odd_chain_at_resonance(material, qd_resonant, geo
 
 @pytest.fixture(scope="module")
 def spectrum_grid():
-    lams = np.linspace(560.0, 420.0, 601)
-    return [wavelength_nm_to_omega(lam) for lam in lams]
+    return wavelength_nm_to_omega(np.linspace(560.0, 420.0, 601))
 
 
 def test_spectrum_identities_every_point(material, qd_resonant, geometry, spectrum_grid):
     for n in (2, 3):
         spec = decay_spectrum(spectrum_grid, geometry(n), material, qd_resonant)
-        assert len(spec) == len(spectrum_grid)
-        for pt in spec:
-            assert pt.gamma_s >= 0.0
-            assert pt.gamma_a >= 0.0
-            assert pt.gamma_s + pt.gamma_a == pytest.approx(2.0 * pt.gamma_tilde, rel=1e-12)
-            assert abs(pt.gamma_a - pt.gamma_s) == pytest.approx(
-                2.0 * abs(pt.gamma_diss), rel=1e-9, abs=1e-12 * pt.gamma_tilde
-            )
+        assert spec.gamma_s.shape == spec.gamma_a.shape == spectrum_grid.shape
+        assert np.array_equal(spec.omega, spectrum_grid)
+        assert np.all(spec.gamma_s >= 0.0)
+        assert np.all(spec.gamma_a >= 0.0)
+        np.testing.assert_allclose(spec.gamma_s + spec.gamma_a, 2.0 * spec.gamma_tilde,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.abs(spec.gamma_a - spec.gamma_s),
+                                   2.0 * np.abs(spec.gamma_diss),
+                                   rtol=1e-9, atol=1e-12 * spec.gamma_tilde.min())
 
 
 def test_two_chain_modes_flank_the_resonance(material, qd_resonant, geometry, spectrum_grid):
@@ -378,9 +464,7 @@ def test_two_chain_modes_flank_the_resonance(material, qd_resonant, geometry, sp
     symmetric channel, so gamma_s peaks below omega_0 and gamma_a above."""
     geom = geometry(2)
     spec = decay_spectrum(spectrum_grid, geom, material, qd_resonant)
-    omegas = np.array([pt.omega for pt in spec])
-    gs = np.array([pt.gamma_s for pt in spec])
-    ga = np.array([pt.gamma_a for pt in spec])
+    omegas, gs, ga = spec.omega, spec.gamma_s, spec.gamma_a
     bc = bare_couplings(geom, qd_resonant, material)
     peak_s = omegas[gs.argmax()]
     peak_a = omegas[ga.argmax()]
@@ -390,18 +474,18 @@ def test_two_chain_modes_flank_the_resonance(material, qd_resonant, geometry, sp
 
 
 def test_odd_chain_orderings_at_resonance(material, qd_resonant, geometry):
-    spec3 = decay_spectrum([material.omega_0], geometry(3), material, qd_resonant)[0]
-    assert spec3.gamma_a > spec3.gamma_s
-    spec5 = decay_spectrum([material.omega_0], geometry(5), material, qd_resonant)[0]
-    assert spec5.gamma_s > spec5.gamma_a
+    spec3 = decay_spectrum([material.omega_0], geometry(3), material, qd_resonant)
+    assert spec3.gamma_a[0] > spec3.gamma_s[0]
+    spec5 = decay_spectrum([material.omega_0], geometry(5), material, qd_resonant)
+    assert spec5.gamma_s[0] > spec5.gamma_a[0]
 
 
 def test_decay_splitting_shrinks_along_odd_sequences(material, qd_resonant, geometry):
     for seq in ((3, 7, 11, 15), (5, 9, 13, 17)):
         splits = []
         for n in seq:
-            pt = decay_spectrum([material.omega_0], geometry(n), material, qd_resonant)[0]
-            splits.append(abs(pt.gamma_a - pt.gamma_s))
+            spec = decay_spectrum([material.omega_0], geometry(n), material, qd_resonant)
+            splits.append(abs(spec.gamma_a[0] - spec.gamma_s[0]))
         assert all(a > b for a, b in zip(splits, splits[1:]))
 
 

@@ -3,7 +3,6 @@ effective model."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from plasmarray import (
     ArrayGeometry,
@@ -11,17 +10,20 @@ from plasmarray import (
     FockConfig,
     MemoryBudgetError,
     QdParams,
-    build_full_system,
     concurrence,
     drive_rates,
+    validate_against_effective,
+)
+from plasmarray.constants import W_CM2_TO_W_M2
+from plasmarray.fullmodel import (
+    _site_operator,
+    build_full_system,
     liouvillian,
     mean_mode_occupation,
     reduce_to_qubits,
     steady_state_full,
-    validate_against_effective,
+    trace_preservation_defect,
 )
-from plasmarray.constants import W_CM2_TO_W_M2
-from plasmarray.fullmodel import _site_operator, trace_preservation_defect
 
 from conftest import GAMMA_I, GAP, R_MNP, R_QD
 
@@ -249,12 +251,3 @@ def test_truncation_convergence_single_particle(material, geometry):
         concs[nlev] = concurrence(reduce_to_qubits(rho, cfg))
     assert abs(concs[3] - concs[4]) < 0.01
 
-
-def test_phased_mode_drive_option_changes_hamiltonian(material, qd_resonant, geometry):
-    cfg = FockConfig(n=2, fock_levels=2)
-    drive = _drive(material, qd_resonant, 10.0, phi=np.pi)
-    plain = build_full_system(geometry(2), material, qd_resonant, drive, cfg)
-    phased = build_full_system(
-        geometry(2), material, qd_resonant, drive, cfg, phase_mnp_drives=True
-    )
-    assert sp.linalg.norm(plain.h - phased.h) > 0.0

@@ -36,6 +36,26 @@ def test_uniform_inverse_matches_dense_lu(n):
     assert abs(row_sum - k[0].sum()) < 1e-11
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 17, 40])
+def test_array_inverse_matches_dense_lu_per_element(n):
+    """An array of off-diagonals gives, element by element, the entries of
+    the dense inverse and exactly the entries of a scalar call."""
+    rng = np.random.default_rng(100 + n)
+    xs = 0.5 * (rng.normal(size=5) + 1j * rng.normal(size=5))
+    k11, k1n, row_sum = chain_end_response(n, xs)
+    assert k11.shape == k1n.shape == row_sum.shape == xs.shape
+    idx = np.arange(n - 1)
+    for i, x in enumerate(xs):
+        a = np.eye(n, dtype=complex)
+        a[idx, idx + 1] = x
+        a[idx + 1, idx] = x
+        k = np.linalg.inv(a)
+        assert abs(k11[i] - k[0, 0]) < 1e-11
+        assert abs(k1n[i] - k[0, n - 1]) < 1e-11
+        assert abs(row_sum[i] - k[0].sum()) < 1e-11
+        assert (k11[i], k1n[i], row_sum[i]) == chain_end_response(n, x)
+
+
 def test_uniform_inverse_two_by_two_closed_form():
     x = 0.3 - 0.7j
     det = 1.0 - x * x

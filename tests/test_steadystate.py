@@ -4,10 +4,11 @@ The concurrence is cross-checked against an independent brute-force
 evaluation through the matrix square root, sqrt(sqrt(rho) rho~ sqrt(rho)),
 which never shares code with the production eigensolve path.
 
-The batched production path (precomputed generator terms, stacked solve
-and eigensolves) is checked against a per-point reference kept here: the
-generator applied to each of the 16 real basis matrices in turn, one
-solve and one eigensolve per parameter set.
+The batched production path (one MediatedParams with (B,) array fields,
+precomputed generator terms, stacked solve and eigensolves) is checked
+against a per-point reference kept here: the generator applied to each of
+the 16 real basis matrices in turn, one solve and one eigensolve per
+parameter set.
 """
 
 import dataclasses
@@ -24,19 +25,20 @@ from plasmarray import (
     DomainError,
     MediatedParams,
     NumericalError,
-    bare_couplings,
-    build_coupling_matrix,
-    build_effective_generator,
-    complex_pole,
     concurrence,
     dicke_populations,
     drive_rates,
     mediated_params,
-    solve_steady,
     steady_state,
 )
 from plasmarray.constants import W_CM2_TO_W_M2
-from plasmarray.steadystate import SIGMA_1, SIGMA_2, TwoQubitState
+from plasmarray.steadystate import (
+    SIGMA_1,
+    SIGMA_2,
+    TwoQubitState,
+    build_effective_generator,
+    solve_steady,
+)
 
 from conftest import GAMMA_I
 
@@ -163,13 +165,24 @@ def reference_dicke(rho):
 
 
 def steady_for(material, qd, geometry, n, intensity_w_cm2, phi=0.0):
-    geom = geometry(n)
-    bc = bare_couplings(geom, qd, material)
-    pole = complex_pole(material, qd, material.omega_0)
-    cm = build_coupling_matrix(n, bc.kappa, pole.delta)
+    """Mediated parameters at the resonance; an intensity array gives a
+    column with (B,) array fields."""
     drive = drive_rates(intensity_w_cm2 * W_CM2_TO_W_M2, material, qd,
                         material.omega_0, phi)
-    return mediated_params(geom, material, qd, drive, cm)
+    return mediated_params(geometry(n), material, qd, drive)
+
+
+RATE_FIELDS = ("delta_omega_tilde_1", "delta_omega_tilde_2", "gamma_tilde_1",
+               "gamma_tilde_2", "lambda_tilde_1", "lambda_tilde_2", "g_coh", "gamma_diss")
+
+
+def stack(points):
+    """One MediatedParams whose fields are (B,) arrays of the points'
+    fields: a heterogeneous stack that no single sweep call produces."""
+    return MediatedParams(
+        n=points[0].n, omega=points[0].omega,
+        **{name: np.array([getattr(mp, name) for mp in points]) for name in RATE_FIELDS},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +213,7 @@ def test_trace_fixed_by_construction(material, qd_resonant, geometry):
 
 def test_stationarity_residual(material, qd_resonant, geometry):
     mp = steady_for(material, qd_resonant, geometry, 2, 25.0)
-    em = build_effective_generator([mp])
+    em = build_effective_generator(mp)
     state = solve_steady(em)
     assert em.m_raw.shape == (1, 16, 16) and state.rho.shape == (1, 4, 4)
     x = reference_coords(state.rho[0])
@@ -238,7 +251,7 @@ def admissible_params(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(admissible_params(), min_size=1, max_size=6))
 def test_batched_generator_matches_reference(params):
-    m_raw = build_effective_generator(params).m_raw
+    m_raw = build_effective_generator(stack(params)).m_raw
     assert m_raw.shape == (len(params), 16, 16)
     for mp, m in zip(params, m_raw):
         ref = reference_m_raw(mp)
@@ -258,7 +271,7 @@ def test_batched_states_match_per_point_reference(material, qd_resonant, qd_anti
         for qd in (qd_resonant, qd_antisym_35):
             for intensity in (0.5, 4.0, 16.0, 64.0):
                 points.append(steady_for(material, qd, geometry, n, intensity))
-    state = steady_state(points)
+    state = steady_state(stack(points))
     conc = concurrence(state)
     pops = dicke_populations(state)
     assert state.rho.shape == (len(points), 4, 4) and conc.shape == (len(points),)
@@ -273,7 +286,7 @@ def test_batched_states_match_per_point_reference(material, qd_resonant, qd_anti
 def test_single_params_is_the_stack_of_one(material, qd_antisym_35, geometry):
     mp = steady_for(material, qd_antisym_35, geometry, 1, 16.0)
     single = steady_state(mp)
-    stacked = steady_state([mp])
+    stacked = steady_state(stack([mp]))
     assert single.rho.shape == (4, 4)
     assert np.array_equal(single.rho, stacked.rho[0])
     assert concurrence(single) == concurrence(stacked)[0]
@@ -284,18 +297,19 @@ def test_single_params_is_the_stack_of_one(material, qd_antisym_35, geometry):
 def test_dark_point_in_a_stack_names_its_rates(material, qd_resonant, geometry):
     """One degenerate point refuses the whole stack, and the error carries
     that point's collective rates, not its neighbours'."""
-    points = [steady_for(material, qd_resonant, geometry, 1, i) for i in (5.0, 10.0, 20.0)]
-    dark = dataclasses.replace(points[1], gamma_diss=points[1].gamma_tilde_1)
+    column = steady_for(material, qd_resonant, geometry, 1, np.array([5.0, 10.0, 20.0]))
+    middle = np.arange(3) == 1
+    dark = dataclasses.replace(
+        column, gamma_diss=np.where(middle, column.gamma_tilde_1, column.gamma_diss))
     with pytest.raises(NumericalError) as err:
-        steady_state([points[0], dark, points[2]])
+        steady_state(dark)
     message = str(err.value)
-    omega_s = abs(dark.lambda_tilde_1 + dark.lambda_tilde_2) / math.sqrt(2)
+    omega_s = np.abs(dark.lambda_tilde_1 + dark.lambda_tilde_2) / math.sqrt(2)
     assert f"gamma_a={0.0:.6e}" in message
-    assert f"|omega_s|={omega_s:.6e}" in message
+    assert f"|omega_s|={omega_s[1]:.6e}" in message
     assert f"|omega_a|={0.0:.6e}" in message
-    for neighbour in (points[0], points[2]):
-        other = abs(neighbour.lambda_tilde_1 + neighbour.lambda_tilde_2) / math.sqrt(2)
-        assert f"|omega_s|={other:.6e}" not in message
+    for neighbour in (0, 2):
+        assert f"|omega_s|={omega_s[neighbour]:.6e}" not in message
 
 
 def test_round_off_eigenvalues_give_one_warning_per_stack(caplog):
