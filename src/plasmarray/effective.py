@@ -54,22 +54,22 @@ SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ComplexPole:
-    """Rotating-frame complex rates of the particle and dot responses.
+    """Rotating-frame complex pole of the particles and detunings of
+    particles and dots.
 
     Each field has the shape of the driving frequency omega: a scalar or
     one entry per frequency.
     """
 
     delta: np.ndarray        # i*(omega_0 - omega) + gamma_0/2
-    delta_1: np.ndarray      # i*(omega_1 - omega) + gamma_i/2
-    delta_2: np.ndarray
     detuning_0: np.ndarray   # omega_0 - omega
     detuning_1: np.ndarray   # omega_1 - omega
     detuning_2: np.ndarray
 
 
 def complex_pole(mat: MaterialSystem, qd: QdParams, omega) -> ComplexPole:
-    """Complex poles at driving frequency omega (a scalar or an array)."""
+    """Complex pole and detunings at driving frequency omega (a scalar or
+    an array)."""
     omega = np.asarray(omega, dtype=float)
     if np.any(omega <= 0):
         raise DomainError(f"driving frequency must be positive, got {omega.min()}")
@@ -78,8 +78,6 @@ def complex_pole(mat: MaterialSystem, qd: QdParams, omega) -> ComplexPole:
     d2 = qd.omega_2 - omega
     return ComplexPole(
         delta=mat.gamma_0 / 2.0 + 1j * d0,
-        delta_1=qd.gamma_i / 2.0 + 1j * d1,
-        delta_2=qd.gamma_i / 2.0 + 1j * d2,
         detuning_0=d0,
         detuning_1=d1,
         detuning_2=d2,

@@ -8,6 +8,15 @@ superoperator, one row is replaced by the trace constraint and the steady
 state is obtained from a sparse linear solve.  Reduction to the two dots
 is a partial trace over all modes.
 
+Every drive rate is proportional to the field amplitude e0, so at fixed
+geometry, dots, truncation and frequency the generator is
+L(e0) = L_0 + e0 L_1: L_0 holds the detunings, hopping, dot-mode exchange
+and dissipators, L_1 the commutator with the unit-amplitude drive.  One
+validation case assembles both once and solves its intensities in turn.
+The first intensity's incomplete LU factor preconditions LGMRES for the
+rest; a point that does not converge with it escalates to its own ILU
+and then to a full sparse LU.
+
 This path scales exponentially in n and exists to validate the effective
 model on small chains; construction refuses up front when the estimated
 superoperator exceeds the memory budget.
@@ -15,7 +24,7 @@ superoperator exceeds the memory budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +49,6 @@ __all__ = [
     "liouvillian",
     "steady_state_full",
     "reduce_to_qubits",
-    "mean_mode_occupation",
-    "trace_preservation_defect",
     "ValidationRow",
     "ValidationTable",
     "validate_against_effective",
@@ -95,12 +102,19 @@ class FockConfig:
 
 @dataclass
 class FullSystem:
-    """Sparse Hamiltonian and collapse channels of the explicit model."""
+    """Sparse Hamiltonian and collapse channels of the explicit model.
+
+    The Hamiltonian is h0 + e0 h1.  h0 holds the detunings, the mode
+    hopping and the dot-mode exchange; h1 is the drive at unit field
+    amplitude (1 V/m), since every drive rate is proportional to e0.  e0
+    is the drive's field amplitude (V/m): a scalar, or one per intensity.
+    """
 
     cfg: FockConfig
-    h: sp.spmatrix
-    collapse: list = field(default_factory=list)  # (rate, operator) pairs
-    labels: list = field(default_factory=list)
+    h0: sp.csr_matrix
+    h1: sp.csr_matrix
+    e0: np.ndarray
+    collapse: list  # (rate, operator) pairs
 
 
 def _site_operator(op: np.ndarray, site: int, dims: tuple) -> sp.csr_matrix:
@@ -110,6 +124,17 @@ def _site_operator(op: np.ndarray, site: int, dims: tuple) -> sp.csr_matrix:
         block = sp.csr_matrix(op) if k == site else sp.identity(d, format="csr", dtype=complex)
         out = sp.kron(out, block, format="csr")
     return out
+
+
+def _unit_amplitude_rates(drive: DriveField) -> tuple:
+    """lambda_1, lambda_2 and omega_m at e0 = 1 V/m, read off the drive's
+    strongest entry (all zero when nothing is driven)."""
+    e0 = np.ravel(drive.e0)
+    if not np.any(e0 > 0):
+        return 0j, 0j, 0j
+    k = int(np.argmax(e0))
+    return tuple(complex(np.ravel(rate)[k]) / e0[k]
+                 for rate in (drive.lambda_1, drive.lambda_2, drive.omega_m))
 
 
 def build_full_system(
@@ -125,7 +150,8 @@ def build_full_system(
     nearest-neighbor mode hopping -kappa(a_m^+ a_v + h.c.) and end-only
     dot-mode exchange -g(s_i^+ a_m + h.c.).  Collapse channels are
     sqrt(gamma_i) s_i and sqrt(gamma_0) a_m.  The inter-laser phase
-    e^{i phi} is carried by the dot-2 drive only.
+    e^{i phi} is carried by the dot-2 drive only.  The drive may hold one
+    intensity or several at a single frequency.
     """
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
@@ -143,32 +169,38 @@ def build_full_system(
     couplings = bare_couplings(geom, qd, mat)
     pole = complex_pole(mat, qd, drive.omega)
 
-    h = pole.detuning_1 * (s1.getH() @ s1) + pole.detuning_2 * (s2.getH() @ s2)
-    h = h - (drive.lambda_1 * s1.getH() + np.conj(drive.lambda_1) * s1)
-    h = h - (drive.lambda_2 * s2.getH() + np.conj(drive.lambda_2) * s2)
+    h0 = pole.detuning_1 * (s1.getH() @ s1) + pole.detuning_2 * (s2.getH() @ s2)
     for a_m in modes:
-        h = h + pole.detuning_0 * (a_m.getH() @ a_m)
-        h = h - (drive.omega_m * a_m.getH() + np.conj(drive.omega_m) * a_m)
+        h0 = h0 + pole.detuning_0 * (a_m.getH() @ a_m)
     for m in range(cfg.n - 1):
-        h = h - couplings.kappa * (
+        h0 = h0 - couplings.kappa * (
             modes[m].getH() @ modes[m + 1] + modes[m] @ modes[m + 1].getH()
         )
-    h = h - couplings.g * (s1.getH() @ modes[0] + s1 @ modes[0].getH())
-    h = h - couplings.g * (s2.getH() @ modes[-1] + s2 @ modes[-1].getH())
+    h0 = h0 - couplings.g * (s1.getH() @ modes[0] + s1 @ modes[0].getH())
+    h0 = h0 - couplings.g * (s2.getH() @ modes[-1] + s2 @ modes[-1].getH())
+
+    lambda_1, lambda_2, omega_m = _unit_amplitude_rates(drive)
+    h1 = -(lambda_1 * s1.getH() + np.conj(lambda_1) * s1)
+    h1 = h1 - (lambda_2 * s2.getH() + np.conj(lambda_2) * s2)
+    for a_m in modes:
+        h1 = h1 - (omega_m * a_m.getH() + np.conj(omega_m) * a_m)
 
     collapse = [(qd.gamma_i, s1), (qd.gamma_i, s2)]
     collapse += [(mat.gamma_0, a_m) for a_m in modes]
-    labels = ["sigma_1", "sigma_2"] + [f"a_{m + 1}" for m in range(cfg.n)]
-    return FullSystem(cfg=cfg, h=h.tocsr(), collapse=collapse, labels=labels)
+    return FullSystem(cfg=cfg, h0=h0.tocsr(), h1=h1.tocsr(), e0=drive.e0,
+                      collapse=collapse)
 
 
-def liouvillian(system: FullSystem) -> sp.csr_matrix:
-    """Vectorized Lindblad generator (row-major vec convention)."""
-    dim = system.cfg.dim
+def liouvillian(h: sp.spmatrix, collapse=()) -> sp.csr_matrix:
+    """Vectorized Lindblad generator -i[h, .] + sum D[c] (row-major vec).
+
+    collapse holds (rate, operator) pairs; without any this is the bare
+    commutator with h.
+    """
+    dim = h.shape[0]
     ident = sp.identity(dim, format="csr", dtype=complex)
-    h = system.h
     l_op = -1j * (sp.kron(h, ident, format="csr") - sp.kron(ident, h.T, format="csr"))
-    for rate, c_op in system.collapse:
+    for rate, c_op in collapse:
         cdc = (c_op.getH() @ c_op).tocsr()
         l_op = l_op + 0.5 * rate * (
             2.0 * sp.kron(c_op, c_op.conj(), format="csr")
@@ -178,72 +210,68 @@ def liouvillian(system: FullSystem) -> sp.csr_matrix:
     return l_op.tocsr()
 
 
-def trace_preservation_defect(l_op: sp.spmatrix, dim: int) -> float:
-    """Norm of vec(I)^T L relative to ||L||; zero for a trace-preserving map."""
-    tr_vec = np.zeros(dim * dim)
-    tr_vec[np.arange(dim) * (dim + 1)] = 1.0
-    defect = np.abs(tr_vec @ l_op)
-    norm = spla.norm(l_op)
-    return float(defect.max() / max(norm, 1.0))
+def _trace_constrained(l_op: sp.csr_matrix, dim: int) -> sp.csr_matrix:
+    """l_op scaled to O(1) entries, its first row replaced by the trace."""
+    scale = float(np.max(np.abs(l_op.data))) if l_op.nnz else 1.0
+    start = l_op.indptr[1]
+    data = np.empty(l_op.nnz - start + dim, dtype=complex)
+    data[:dim] = 1.0
+    np.multiply(l_op.data[start:], 1.0 / scale, out=data[dim:])
+    indices = np.concatenate([np.arange(dim) * (dim + 1), l_op.indices[start:]])
+    indptr = np.concatenate([[0], l_op.indptr[1:] - start + dim])
+    return sp.csr_matrix((data, indices, indptr), shape=l_op.shape)
 
 
-def _replace_trace_row(l_op: sp.spmatrix, dim: int) -> sp.csc_matrix:
-    coo = l_op.tocoo()
-    keep = coo.row != 0
-    rows = np.concatenate([coo.row[keep], np.zeros(dim, dtype=coo.row.dtype)])
-    cols = np.concatenate([coo.col[keep], np.arange(dim) * (dim + 1)])
-    data = np.concatenate([coo.data[keep], np.ones(dim, dtype=complex)])
-    return sp.coo_matrix((data, (rows, cols)), shape=l_op.shape).tocsc()
+def _lgmres(a: sp.csr_matrix, b: np.ndarray, precond) -> tuple:
+    op = spla.LinearOperator(a.shape, precond.solve)
+    # lgmres divides by a zero Krylov norm when the preconditioner is
+    # already exact (undriven systems); the residual check governs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return spla.lgmres(a, b, M=op, rtol=1e-13, atol=1e-16, maxiter=500)
 
 
-def _solve_trace_constrained(a: sp.csc_matrix, b: np.ndarray, dim: int) -> np.ndarray:
+def _solve_trace_constrained(a: sp.csr_matrix, b: np.ndarray, dim: int, precond) -> tuple:
     """Solve the trace-constrained system, escalating through solvers.
 
     The generator entries are pre-scaled to O(1), so an aggressive
-    incomplete LU is an excellent preconditioner; a tighter ILU and a full
-    sparse LU remain as fallbacks for awkward parameter sets.
+    incomplete LU is an excellent preconditioner.  Within one case the
+    generators differ only in the drive term, so `precond`, the factor of
+    an earlier generator of the case (None for the first), is tried first
+    and the case is factored once.  If LGMRES does not converge with it,
+    this system is factored afresh (ILU 1e-2, then ILU 1e-4) and, failing
+    both, solved by a full sparse LU.  Returns the solution and the
+    factor to hand to the next generator.
     """
     if dim <= DIRECT_SOLVE_MAX_DIM:
-        return spla.spsolve(a, b)
+        return spla.spsolve(a.tocsc(), b), None
+    if precond is not None:
+        v, info = _lgmres(a, b, precond)
+        if info == 0:
+            return v, precond
     for drop_tol, fill_factor in ((1e-2, 5.0), (1e-4, 15.0)):
         try:
-            precond = spla.spilu(a, drop_tol=drop_tol, fill_factor=fill_factor)
+            factor = spla.spilu(a.tocsc(), drop_tol=drop_tol, fill_factor=fill_factor)
         except RuntimeError:
             continue
-        op = spla.LinearOperator(a.shape, precond.solve)
-        # lgmres divides by a zero Krylov norm when the preconditioner is
-        # already exact (undriven systems); the residual check below governs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v, info = spla.lgmres(a, b, M=op, rtol=1e-13, atol=1e-16, maxiter=500)
+        v, info = _lgmres(a, b, factor)
         if info == 0:
-            return v
+            return v, factor
     try:
-        return spla.spsolve(a, b)
+        return spla.spsolve(a.tocsc(), b), precond
     except (RuntimeError, MemoryError) as exc:
         raise NumericalError(f"all steady-state solvers failed: {exc}") from exc
 
 
-def steady_state_full(
-    l_op: sp.spmatrix,
-    dim: int,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
-    """Steady-state density matrix of a vectorized Lindblad generator.
-
-    The generator is scaled to O(1) entries, its first row replaced by the
-    trace constraint and the sparse system solved (directly for tiny
-    dimensions, ILU-preconditioned LGMRES otherwise).  The result is
-    validated against the original generator:
-    ||L vec(rho)|| <= residual_tol * ||L||.
-    """
-    data = l_op.tocoo().data
-    scale = float(np.max(np.abs(data))) if data.size else 1.0
-    a = _replace_trace_row(l_op.multiply(1.0 / scale).tocsr(), dim)
+def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond, residual_tol: float) -> tuple:
+    """Steady state of the generator L_0 + e0 L_1, validated against it."""
+    l_op = l_0 + e0 * l_1
+    l_norm = spla.norm(l_op)
+    a = _trace_constrained(l_op, dim)
+    del l_op  # not held through the solve; L v is formed from the parts
     b = np.zeros(dim * dim, dtype=complex)
     b[0] = 1.0
-    v = _solve_trace_constrained(a, b, dim)
-    l_norm = spla.norm(l_op)
-    residual = float(np.linalg.norm(l_op @ v)) / max(l_norm, 1.0)
+    v, precond = _solve_trace_constrained(a, b, dim, precond)
+    residual = float(np.linalg.norm(l_0 @ v + e0 * (l_1 @ v))) / max(l_norm, 1.0)
     if residual > residual_tol:
         raise NumericalError(
             f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e} "
@@ -254,7 +282,32 @@ def steady_state_full(
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-10:
         raise NumericalError(f"steady-state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    return rho
+    return rho, precond
+
+
+def steady_state_full(system: FullSystem, residual_tol: float = 1e-8) -> np.ndarray:
+    """Steady-state density matrix of the explicit model at each drive amplitude.
+
+    The generator is L(e0) = L_0 + e0 L_1, with L_0 = liouvillian(h0,
+    collapse) and L_1 = liouvillian(h1) assembled once.  Each amplitude's
+    generator is formed and solved in turn, so one is held at a time: it
+    is scaled to O(1) entries, its first row replaced by the trace
+    constraint and the sparse system solved (directly for tiny
+    dimensions, otherwise by LGMRES preconditioned with one ILU factor
+    shared by all amplitudes).  Each result is validated against its own
+    generator: ||L vec(rho)|| <= residual_tol * ||L||, Hermitised and
+    trace-checked.  Returns one (dim, dim) state for a scalar e0 and a
+    (B, dim, dim) stack otherwise.
+    """
+    dim = system.cfg.dim
+    l_0 = liouvillian(system.h0, system.collapse)
+    l_1 = liouvillian(system.h1)
+    precond = None
+    states = []
+    for e0 in np.ravel(system.e0).tolist():
+        rho, precond = _checked_steady_state(l_0, l_1, e0, dim, precond, residual_tol)
+        states.append(rho)
+    return np.array(states) if np.ndim(system.e0) else states[0]
 
 
 # computational relabeling (q1,q2)-major {gg, ge, eg, ee} -> {gg, eg, ge, ee}
@@ -268,14 +321,6 @@ def reduce_to_qubits(rho_full: np.ndarray, cfg: FockConfig) -> TwoQubitState:
     red = np.trace(r6, axis1=2, axis2=5).reshape(4, 4)
     red = red[np.ix_(_PAPER_ORDER, _PAPER_ORDER)]
     return TwoQubitState(rho=red)
-
-
-def mean_mode_occupation(rho_full: np.ndarray, cfg: FockConfig, mode: int = 0) -> float:
-    """<a_m^+ a_m> in the full steady state."""
-    nlev = cfg.fock_levels
-    number = np.diag(np.arange(nlev)).astype(complex)
-    op = _site_operator(number, 2 + mode, cfg.dims)
-    return float(np.trace(op @ rho_full).real)
 
 
 @dataclass(frozen=True)
@@ -310,21 +355,20 @@ def validate_against_effective(
 
     intensity_grid is in W/m^2.  Both models see identical physical inputs;
     the drive phase is applied to the bare dot-2 rate on both sides so the
-    comparison is like for like.
+    comparison is like for like.  The full model solves the grid as one
+    case: one assembly and one ILU factor serve every intensity
+    (steady_state_full).
     """
     if omega is None:
         omega = mat.omega_0
     intensities = np.asarray(intensity_grid, dtype=float)
-    grid_drive = drive_rates(intensities, mat, qd, omega, phi)
+    drive = drive_rates(intensities, mat, qd, omega, phi)
     c_effs = concurrence(steady_state(
-        mediated_params(geom, mat, qd, grid_drive, phi_mode="bare"))).tolist()
+        mediated_params(geom, mat, qd, drive, phi_mode="bare"))).tolist()
+    rho_fulls = steady_state_full(build_full_system(geom, mat, qd, drive, cfg))
     rows = []
-    for intensity, c_eff in zip(intensities.tolist(), c_effs):
-        drive = drive_rates(intensity, mat, qd, omega, phi)
-        system = build_full_system(geom, mat, qd, drive, cfg)
-        rho_full = steady_state_full(liouvillian(system), cfg.dim)
-        state = reduce_to_qubits(rho_full, cfg).validate()
-        c_full = concurrence(state)
+    for intensity, c_eff, rho_full in zip(intensities.tolist(), c_effs, rho_fulls):
+        c_full = concurrence(reduce_to_qubits(rho_full, cfg).validate())
         rows.append(
             ValidationRow(
                 intensity_w_m2=intensity,

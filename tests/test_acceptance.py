@@ -263,7 +263,6 @@ def test_criterion_11_concurrence_unit_suite(material, geometry):
 def test_criterion_12_truncation_convergence(material, geometry):
     from plasmarray.fullmodel import (
         build_full_system,
-        liouvillian,
         reduce_to_qubits,
         steady_state_full,
     )
@@ -280,7 +279,7 @@ def test_criterion_12_truncation_convergence(material, geometry):
                 drive_rates(intensity * W_CM2_TO_W_M2, material, qd, material.omega_0),
                 cfg,
             )
-            rho = steady_state_full(liouvillian(system), cfg.dim)
+            rho = steady_state_full(system)
             concs[nlev] = concurrence(reduce_to_qubits(rho, cfg))
         worst = max(worst, abs(concs[3] - concs[4]))
     report(12, "truncation-convergence", worst < 0.01,

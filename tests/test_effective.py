@@ -74,7 +74,6 @@ def test_complex_pole_fields(material, qd_resonant):
     pole = complex_pole(material, qd_resonant, omega)
     assert pole.delta.real == pytest.approx(material.gamma_0 / 2.0, rel=1e-15)
     assert pole.delta.imag == pytest.approx(material.omega_0 - omega, rel=1e-12)
-    assert pole.delta_1.real == pytest.approx(qd_resonant.gamma_i / 2.0, rel=1e-15)
     assert pole.detuning_1 == pytest.approx(qd_resonant.omega_1 - omega, rel=1e-12)
     with pytest.raises(DomainError):
         complex_pole(material, qd_resonant, 0.0)

@@ -3,6 +3,7 @@ effective model."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from plasmarray import (
     ArrayGeometry,
@@ -14,23 +15,107 @@ from plasmarray import (
     drive_rates,
     validate_against_effective,
 )
+from plasmarray import fullmodel
 from plasmarray.constants import W_CM2_TO_W_M2
+from plasmarray.effective import complex_pole
 from plasmarray.fullmodel import (
     _site_operator,
     build_full_system,
     liouvillian,
-    mean_mode_occupation,
     reduce_to_qubits,
     steady_state_full,
-    trace_preservation_defect,
 )
+from plasmarray.plasmonics import bare_couplings
 
 from conftest import GAMMA_I, GAP, R_MNP, R_QD
 
 
 def _drive(material, qd, intensity_w_cm2, phi=0.0):
-    return drive_rates(intensity_w_cm2 * W_CM2_TO_W_M2, material, qd,
+    return drive_rates(np.asarray(intensity_w_cm2) * W_CM2_TO_W_M2, material, qd,
                        material.omega_0, phi)
+
+
+def _hamiltonian(system):
+    """The Hamiltonian of a system built at a single intensity."""
+    return system.h0 + float(system.e0) * system.h1
+
+
+def _generator(system):
+    """The Lindblad generator of a system built at a single intensity."""
+    return liouvillian(_hamiltonian(system), system.collapse)
+
+
+def trace_preservation_defect(l_op, dim: int) -> float:
+    """Norm of vec(I)^T L relative to ||L||; zero for a trace-preserving map."""
+    tr_vec = np.zeros(dim * dim)
+    tr_vec[np.arange(dim) * (dim + 1)] = 1.0
+    defect = np.abs(tr_vec @ l_op)
+    return float(defect.max() / max(spla.norm(l_op), 1.0))
+
+
+def mean_mode_occupation(rho_full, cfg: FockConfig, mode: int = 0) -> float:
+    """<a_m^+ a_m> in the full steady state."""
+    number = np.diag(np.arange(cfg.fock_levels)).astype(complex)
+    op = _site_operator(number, 2 + mode, cfg.dims)
+    return float(np.trace(op @ rho_full).real)
+
+
+def _reference_hamiltonian(geom, material, qd, drive, cfg):
+    """The full Hamiltonian written out at one drive, term by term."""
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    annihilate = np.diag(np.sqrt(np.arange(1, cfg.fock_levels)), k=1).astype(complex)
+    s1 = _site_operator(lower, 0, cfg.dims)
+    s2 = _site_operator(lower, 1, cfg.dims)
+    modes = [_site_operator(annihilate, 2 + m, cfg.dims) for m in range(cfg.n)]
+    bc = bare_couplings(geom, qd, material)
+    pole = complex_pole(material, qd, drive.omega)
+    h = pole.detuning_1 * (s1.getH() @ s1) + pole.detuning_2 * (s2.getH() @ s2)
+    h = h - (drive.lambda_1 * s1.getH() + np.conj(drive.lambda_1) * s1)
+    h = h - (drive.lambda_2 * s2.getH() + np.conj(drive.lambda_2) * s2)
+    for a_m in modes:
+        h = h + pole.detuning_0 * (a_m.getH() @ a_m)
+        h = h - (drive.omega_m * a_m.getH() + np.conj(drive.omega_m) * a_m)
+    for m in range(cfg.n - 1):
+        h = h - bc.kappa * (modes[m].getH() @ modes[m + 1] + modes[m] @ modes[m + 1].getH())
+    h = h - bc.g * (s1.getH() @ modes[0] + s1 @ modes[0].getH())
+    h = h - bc.g * (s2.getH() @ modes[-1] + s2 @ modes[-1].getH())
+    return h.tocsr()
+
+
+class _CountingSolvers:
+    """Stands in for scipy.sparse.linalg inside fullmodel and counts calls.
+
+    fail_lgmres(solvers, k, m) decides whether the k-th LGMRES call (from
+    1), preconditioned by m, reports non-convergence (info = 1) instead of
+    running.
+    """
+
+    def __init__(self, fail_lgmres=lambda solvers, k, m: False):
+        self.calls = {"spilu": 0, "lgmres": 0, "spsolve": 0}
+        self.factors = []
+        self._fail_lgmres = fail_lgmres
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def is_first_factor(self, m) -> bool:
+        probe = np.ones(m.shape[0], dtype=complex)
+        return np.array_equal(m.matvec(probe), self.factors[0].solve(probe))
+
+    def spilu(self, *args, **kwargs):
+        self.calls["spilu"] += 1
+        self.factors.append(spla.spilu(*args, **kwargs))
+        return self.factors[-1]
+
+    def spsolve(self, *args, **kwargs):
+        self.calls["spsolve"] += 1
+        return spla.spsolve(*args, **kwargs)
+
+    def lgmres(self, a, b, **kwargs):
+        self.calls["lgmres"] += 1
+        if self._fail_lgmres(self, self.calls["lgmres"], kwargs["M"]):
+            return np.zeros_like(b), 1
+        return spla.lgmres(a, b, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -73,11 +158,11 @@ def test_operator_shapes_and_embedding(material, qd_resonant, geometry):
     system = build_full_system(
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 1.0), cfg
     )
-    assert system.h.shape == (cfg.dim, cfg.dim)
+    assert system.h0.shape == system.h1.shape == (cfg.dim, cfg.dim)
     for _, op in system.collapse:
         assert op.shape == (cfg.dim, cfg.dim)
-    l_op = liouvillian(system)
-    assert l_op.shape == (cfg.dim**2, cfg.dim**2)
+    assert liouvillian(system.h0, system.collapse).shape == (cfg.dim**2, cfg.dim**2)
+    assert liouvillian(system.h1).shape == (cfg.dim**2, cfg.dim**2)
 
 
 def test_kron_ordering_is_dot1_dot2_modes():
@@ -96,9 +181,8 @@ def test_hamiltonian_is_hermitian(material, qd_resonant, geometry):
         geometry(2), material, qd_resonant,
         _drive(material, qd_resonant, 10.0, phi=0.7), cfg,
     )
-    assert (system.h - system.h.getH()).nnz == 0 or np.max(
-        np.abs((system.h - system.h.getH()).data)
-    ) < 1e-6
+    for h in (system.h0, system.h1, _hamiltonian(system)):
+        assert (h - h.getH()).nnz == 0 or np.max(np.abs((h - h.getH()).data)) < 1e-6
 
 
 def test_memory_budget_refusal(material, qd_resonant, geometry):
@@ -127,7 +211,7 @@ def test_undriven_system_relaxes_to_vacuum(material, qd_resonant, geometry):
     system = build_full_system(
         geometry(1), material, qd_resonant, _drive(material, qd_resonant, 0.0), cfg
     )
-    rho = steady_state_full(liouvillian(system), cfg.dim)
+    rho = steady_state_full(system)
     expected = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     expected[0, 0] = 1.0
     assert np.allclose(rho, expected, atol=1e-12)
@@ -140,7 +224,7 @@ def test_decoupled_system_relaxes_to_vacuum(material, qd_resonant):
     system = build_full_system(
         geom, material, qd_resonant, _drive(material, qd_resonant, 0.0), cfg
     )
-    rho = steady_state_full(liouvillian(system), cfg.dim)
+    rho = steady_state_full(system)
     assert rho[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -149,7 +233,7 @@ def test_trace_one_and_hermitian(material, qd_resonant, geometry):
     system = build_full_system(
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 40.0), cfg
     )
-    rho = steady_state_full(liouvillian(system), cfg.dim)
+    rho = steady_state_full(system)
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
@@ -159,7 +243,7 @@ def test_superoperator_preserves_trace(material, qd_resonant, geometry):
     system = build_full_system(
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 20.0), cfg
     )
-    assert trace_preservation_defect(liouvillian(system), cfg.dim) < 1e-10
+    assert trace_preservation_defect(_generator(system), cfg.dim) < 1e-10
 
 
 def test_weak_drive_keeps_modes_barely_occupied(material, qd_resonant, geometry):
@@ -167,7 +251,7 @@ def test_weak_drive_keeps_modes_barely_occupied(material, qd_resonant, geometry)
     system = build_full_system(
         geometry(1), material, qd_resonant, _drive(material, qd_resonant, 80.0), cfg
     )
-    rho = steady_state_full(liouvillian(system), cfg.dim)
+    rho = steady_state_full(system)
     assert mean_mode_occupation(rho, cfg, 0) < 0.05
 
 
@@ -191,7 +275,7 @@ def test_partial_trace_preserves_trace(material, qd_resonant, geometry):
     system = build_full_system(
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 40.0), cfg
     )
-    rho = steady_state_full(liouvillian(system), cfg.dim)
+    rho = steady_state_full(system)
     state = reduce_to_qubits(rho, cfg).validate()
     assert abs(np.trace(state.rho) - 1.0) < 1e-10
 
@@ -247,7 +331,99 @@ def test_truncation_convergence_single_particle(material, geometry):
     for nlev in (3, 4):
         cfg = FockConfig(n=1, fock_levels=nlev)
         system = build_full_system(geom, material, qd, _drive(material, qd, 80.0), cfg)
-        rho = steady_state_full(liouvillian(system), cfg.dim)
+        rho = steady_state_full(system)
         concs[nlev] = concurrence(reduce_to_qubits(rho, cfg))
     assert abs(concs[3] - concs[4]) < 0.01
+
+
+
+# --------------------------------------------------------------------------
+# one case: L(e0) = L_0 + e0 L_1, one ILU factor shared by its intensities
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, nlev", [(1, 3), (2, 3), (3, 2)])
+def test_case_generator_matches_direct_assembly(material, geometry, n, nlev):
+    """L_0 + e0 L_1 equals the generator assembled at each intensity."""
+    qd = QdParams.at_resonance(material, R_QD, GAMMA_I, 10.0 * GAMMA_I, -10.0 * GAMMA_I)
+    cfg = FockConfig(n=n, fock_levels=nlev)
+    intensities = [0.0, 0.5, 3.0, 80.0]
+    drive = _drive(material, qd, intensities, phi=0.7)
+    system = build_full_system(geometry(n), material, qd, drive, cfg)
+    l_0 = liouvillian(system.h0, system.collapse)
+    l_1 = liouvillian(system.h1)
+    assert np.all(l_1.data != 0)
+    for k, intensity in enumerate(intensities):
+        one = _drive(material, qd, intensity, phi=0.7)
+        assert one.e0 == system.e0[k]
+        ref = liouvillian(_reference_hamiltonian(geometry(n), material, qd, one, cfg),
+                          system.collapse)
+        case = l_0 + system.e0[k] * l_1
+        assert spla.norm(case - ref) <= 1e-14 * spla.norm(ref)
+        assert case.nnz == ref.nnz
+        single = build_full_system(geometry(n), material, qd, one, cfg)
+        assert spla.norm(_generator(single) - ref) <= 1e-14 * spla.norm(ref)
+
+
+def _detuned_pair(material):
+    return QdParams.at_resonance(material, R_QD, GAMMA_I, -10.0 * GAMMA_I, -10.0 * GAMMA_I)
+
+
+def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
+    system = build_full_system(geometry(cfg.n), material, qd,
+                               _drive(material, qd, intensity_w_cm2), cfg)
+    return concurrence(reduce_to_qubits(steady_state_full(system), cfg))
+
+
+def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypatch):
+    """One case over four intensities: one factorisation, and the same
+    concurrence as a separate solve (own assembly, own factor) per point."""
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=2, fock_levels=4)
+    intensities = (0.0, 0.5, 1.5, 3.0)
+    solvers = _CountingSolvers()
+    monkeypatch.setattr(fullmodel, "spla", solvers)
+    table = validate_against_effective(
+        geometry(2), material, qd, cfg, [i * W_CM2_TO_W_M2 for i in intensities]
+    )
+    assert solvers.calls == {"spilu": 1, "lgmres": 4, "spsolve": 0}
+    for intensity, row in zip(intensities, table.rows):
+        fresh = _fresh_c_full(material, geometry, qd, cfg, intensity)
+        assert abs(row.c_full - fresh) <= 1e-10
+        if intensity > 0:
+            assert row.c_full > 0.01
+
+
+@pytest.mark.parametrize("fail, expected", [
+    # the case's first factor fails from the second point on: that point
+    # gets its own ILU, and the third point reuses the new factor
+    (lambda solvers, k, m: k > 1 and solvers.is_first_factor(m),
+     {"spilu": 2, "lgmres": 4, "spsolve": 0}),
+    # LGMRES never converges: every point runs the whole chain
+    (lambda solvers, k, m: True, {"spilu": 6, "lgmres": 6, "spsolve": 3}),
+], ids=["first-factor-goes-stale", "lgmres-never-converges"])
+def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, expected):
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=2, fock_levels=3)
+    assert cfg.dim > fullmodel.DIRECT_SOLVE_MAX_DIM
+    intensities = (0.5, 1.5, 3.0)
+    drive = _drive(material, qd, intensities)
+    system = build_full_system(geometry(2), material, qd, drive, cfg)
+    clean = steady_state_full(system)
+    solvers = _CountingSolvers(fail)
+    monkeypatch.setattr(fullmodel, "spla", solvers)
+    states = steady_state_full(system)
+    assert solvers.calls == expected
+    l_0 = liouvillian(system.h0, system.collapse)
+    l_1 = liouvillian(system.h1)
+    for e0, rho, ref in zip(system.e0, states, clean):
+        l_op = l_0 + e0 * l_1
+        assert np.linalg.norm(l_op @ rho.ravel()) <= 1e-8 * spla.norm(l_op)
+        assert abs(concurrence(reduce_to_qubits(rho, cfg))
+                   - concurrence(reduce_to_qubits(ref, cfg))) <= 1e-10
+
+
+def test_empty_intensity_grid_gives_an_empty_table(material, qd_resonant, geometry):
+    table = validate_against_effective(geometry(1), material, qd_resonant,
+                                       FockConfig(n=1, fock_levels=3), [])
+    assert table.rows == []
 
