@@ -1,10 +1,11 @@
 """Experiment configuration: flat `section.key = value` text files.
 
 Format rules: UTF-8, one assignment per line, `#` starts a comment,
-unknown keys are rejected, every numeric field is range-checked at parse
-time.  Grids accept either comma lists ("1,2,3") or "start:stop:step"
-ranges (inclusive stop, within half a step).  Command-line overrides use
-the same key syntax.
+unknown keys are rejected, every number must be finite and every numeric
+field is range-checked at parse time.  Grids accept either comma lists
+("1,2,3") or "start:stop:step" ranges (inclusive stop, within half a
+step), and must not be empty.  Command-line overrides use the same key
+syntax.
 
 Defaults reproduce the reference system: silver-like Drude particles
 (omega_p = 8.5472 eV, eps_inf = 5, gamma_p = 0.018 eV) of radius 30 nm in
@@ -106,9 +107,12 @@ def _parse_bool(raw: str, key: str, line_no: int) -> bool:
 
 def _parse_float(raw: str, key: str, line_no: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: {key} expects a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: {key} expects a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, key: str, line_no: int) -> int:
@@ -178,7 +182,7 @@ _KEY_PARSERS = {
     "medium.eps_m": ("medium", "eps_m", lambda r, k, ln: _at_least(_parse_float(r, k, ln), 1.0, k, ln)),
     "qd.gamma_i": ("qd", "gamma_i", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
     "qd.detuning_mode": ("qd", "detuning_mode", lambda r, k, ln: _choice(r, k, ln, ("none", "symmetric", "antisymmetric"))),
-    "qd.delta_over_gamma": ("qd", "delta_over_gamma", _parse_float_list),
+    "qd.delta_over_gamma": ("qd", "delta_over_gamma", lambda r, k, ln: _non_empty(_parse_float_list(r, k, ln), k, ln)),
     "drive.intensity_w_cm2": ("drive", "intensity_w_cm2", lambda r, k, ln: _validate_intensities(_parse_float_list(r, k, ln), k, ln)),
     "drive.omega_mode": ("drive", "omega_mode", lambda r, k, ln: _choice(r, k, ln, ("lspr", "wavelength_nm", "grid"))),
     "drive.wavelength_nm": ("drive", "wavelength_nm", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
@@ -201,22 +205,24 @@ def _at_least(value, floor, key: str, line_no: int):
     return value
 
 
+def _non_empty(values: tuple, key: str, line_no: int) -> tuple:
+    if not values:
+        raise ConfigError(f"line {line_no}: {key} must not be empty")
+    return values
+
+
 def _validate_n(values: tuple, key: str, line_no: int) -> tuple:
     for v in values:
         if v < 1:
             raise ConfigError(f"line {line_no}: {key} entries must be >= 1, got {v}")
-    if not values:
-        raise ConfigError(f"line {line_no}: {key} must not be empty")
-    return values
+    return _non_empty(values, key, line_no)
 
 
 def _validate_intensities(values: tuple, key: str, line_no: int) -> tuple:
     for v in values:
         if v < 0:
             raise ConfigError(f"line {line_no}: {key} entries must be >= 0, got {v}")
-    if not values:
-        raise ConfigError(f"line {line_no}: {key} must not be empty")
-    return values
+    return _non_empty(values, key, line_no)
 
 
 def _apply_assignment(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> ExperimentConfig:

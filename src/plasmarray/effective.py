@@ -96,7 +96,6 @@ class MediatedParams:
     """
 
     n: int
-    omega: np.ndarray
     delta_omega_tilde_1: np.ndarray
     delta_omega_tilde_2: np.ndarray
     gamma_tilde_1: np.ndarray
@@ -174,7 +173,6 @@ def mediated_params(
 
     return MediatedParams(
         n=geom.n,
-        omega=drive.omega,
         delta_omega_tilde_1=pole.detuning_1 - v_self / abs_delta_sq,
         delta_omega_tilde_2=pole.detuning_2 - v_self / abs_delta_sq,
         gamma_tilde_1=gamma_tilde,

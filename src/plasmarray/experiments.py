@@ -381,12 +381,10 @@ VALIDATE_HEADER = (
     "n", "fock_levels", "intensity_w_cm2", "c_eff", "c_full", "abs_diff", "error",
 )
 
-# coarse default grid for the expensive explicit-mode comparison
-VALIDATE_INTENSITIES_W_CM2 = tuple(float(i) for i in range(0, 81, 10))
 
-
-def run_validate(cfg: ExperimentConfig, intensities_w_cm2=VALIDATE_INTENSITIES_W_CM2):
-    """Concurrence discrepancy table, effective vs explicit-mode model.
+def run_validate(cfg: ExperimentConfig):
+    """Concurrence discrepancy table, effective vs explicit-mode model,
+    over drive.intensity_w_cm2.
 
     A chain that exceeds the memory budget contributes a structured error
     row instead of aborting the whole run.
@@ -412,13 +410,13 @@ def run_validate(cfg: ExperimentConfig, intensities_w_cm2=VALIDATE_INTENSITIES_W
         try:
             table = validate_against_effective(
                 geom, mat, qd, fock,
-                [i * W_CM2_TO_W_M2 for i in intensities_w_cm2],
+                [i * W_CM2_TO_W_M2 for i in cfg.drive.intensity_w_cm2],
                 omega=omega, phi=phi,
             )
         except MemoryBudgetError as exc:
             rows.append((n, cfg.solver.fock_levels, None, None, None, None, str(exc)))
             continue
-        for intensity, row in zip(intensities_w_cm2, table.rows):
+        for intensity, row in zip(cfg.drive.intensity_w_cm2, table.rows):
             rows.append((n, cfg.solver.fock_levels, float(intensity),
                          row.c_eff, row.c_full, row.abs_diff, ""))
         summaries[n] = table.max_abs_diff

@@ -58,6 +58,8 @@ __all__ = [
 # ILU-preconditioned Krylov path is both faster and equally accurate
 # (superoperator LU fill-in grows brutally with Hilbert dimension)
 DIRECT_SOLVE_MAX_DIM = 32
+# a full-model steady state is accepted when ||L vec(rho)|| <= RESIDUAL_TOL ||L||
+RESIDUAL_TOL = 1e-8
 
 _BYTES_PER_NNZ = 28  # complex128 value + int32 index + row-pointer share
 
@@ -262,7 +264,7 @@ def _solve_trace_constrained(a: sp.csr_matrix, b: np.ndarray, dim: int, precond)
         raise NumericalError(f"all steady-state solvers failed: {exc}") from exc
 
 
-def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond, residual_tol: float) -> tuple:
+def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond) -> tuple:
     """Steady state of the generator L_0 + e0 L_1, validated against it."""
     l_op = l_0 + e0 * l_1
     l_norm = spla.norm(l_op)
@@ -272,9 +274,9 @@ def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond, residual_tol: 
     b[0] = 1.0
     v, precond = _solve_trace_constrained(a, b, dim, precond)
     residual = float(np.linalg.norm(l_0 @ v + e0 * (l_1 @ v))) / max(l_norm, 1.0)
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise NumericalError(
-            f"steady-state residual {residual:.3e} exceeds {residual_tol:.1e} "
+            f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} "
             f"(generator norm {l_norm:.3e})"
         )
     rho = v.reshape(dim, dim)
@@ -285,7 +287,7 @@ def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond, residual_tol: 
     return rho, precond
 
 
-def steady_state_full(system: FullSystem, residual_tol: float = 1e-8) -> np.ndarray:
+def steady_state_full(system: FullSystem) -> np.ndarray:
     """Steady-state density matrix of the explicit model at each drive amplitude.
 
     The generator is L(e0) = L_0 + e0 L_1, with L_0 = liouvillian(h0,
@@ -295,7 +297,7 @@ def steady_state_full(system: FullSystem, residual_tol: float = 1e-8) -> np.ndar
     constraint and the sparse system solved (directly for tiny
     dimensions, otherwise by LGMRES preconditioned with one ILU factor
     shared by all amplitudes).  Each result is validated against its own
-    generator: ||L vec(rho)|| <= residual_tol * ||L||, Hermitised and
+    generator: ||L vec(rho)|| <= RESIDUAL_TOL * ||L||, Hermitised and
     trace-checked.  Returns one (dim, dim) state for a scalar e0 and a
     (B, dim, dim) stack otherwise.
     """
@@ -305,7 +307,7 @@ def steady_state_full(system: FullSystem, residual_tol: float = 1e-8) -> np.ndar
     precond = None
     states = []
     for e0 in np.ravel(system.e0).tolist():
-        rho, precond = _checked_steady_state(l_0, l_1, e0, dim, precond, residual_tol)
+        rho, precond = _checked_steady_state(l_0, l_1, e0, dim, precond)
         states.append(rho)
     return np.array(states) if np.ndim(system.e0) else states[0]
 

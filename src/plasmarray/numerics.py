@@ -94,13 +94,12 @@ def chain_end_response(n: int, offdiag):
 class FitResult:
     """Least-squares fit summary.
 
-    For model "exponential" the coefficients are (c0, tau) of
+    For an exponential fit the coefficients are (c0, tau) of
     c = c0 * exp(-tau * n) and the residual is the rms in log space.
-    For model "quadratic" the coefficients are (a0, a1, a2) of
+    For a quadratic fit the coefficients are (a0, a1, a2) of
     y = a0 + a1 x + a2 x^2 and the residual is the rms in y.
     """
 
-    model: str
     coefficients: tuple
     rms_residual: float
 
@@ -118,7 +117,7 @@ def fit_exponential_decay(n_values, c_values) -> FitResult:
     log_c0, tau = coef
     resid = design @ coef - np.log(c_arr)
     rms = float(np.sqrt(np.mean(resid**2)))
-    return FitResult("exponential", (float(np.exp(log_c0)), float(tau)), rms)
+    return FitResult((float(np.exp(log_c0)), float(tau)), rms)
 
 
 def fit_quadratic(x_values, y_values) -> FitResult:
@@ -133,4 +132,4 @@ def fit_quadratic(x_values, y_values) -> FitResult:
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = design @ coef - y
     rms = float(np.sqrt(np.mean(resid**2)))
-    return FitResult("quadratic", tuple(float(c) for c in coef), rms)
+    return FitResult(tuple(float(c) for c in coef), rms)

@@ -266,15 +266,14 @@ def bare_couplings(geom: ArrayGeometry, qd: QdParams, mat: MaterialSystem) -> Ba
 class DriveField:
     """A z-polarized laser drive and the excitation rates it induces.
 
-    intensity and omega are each a scalar or a 1-D array; every rate has
-    their broadcast shape, so one DriveField describes a whole intensity
-    column or frequency grid.  lambda_2 carries the inter-laser phase:
+    The drive intensity and omega are each a scalar or a 1-D array; every
+    rate has their broadcast shape, so one DriveField describes a whole
+    intensity column or frequency grid.  lambda_2 carries the inter-laser phase:
     lambda_2 = lambda_1 * e^{i phi}.  weak_excitation_ratio =
     omega_m / gamma_0 is the diagnostic for the weak-excitation regime of
     the adiabatic elimination.
     """
 
-    intensity: np.ndarray        # W/m^2
     omega: np.ndarray            # driving frequency (rad/s)
     e0: np.ndarray               # field amplitude (V/m)
     phi: float                   # inter-laser phase (rad)
@@ -309,7 +308,6 @@ def drive_rates(
     lambda_1 = e0 * qd.mu_qd / HBAR + 0j
     omega_m = e0 * mat.mu_mnp / HBAR
     return DriveField(
-        intensity=intensity[()],
         omega=np.asarray(omega, dtype=float)[()],
         e0=e0,
         phi=phi,

@@ -15,20 +15,20 @@ is replaced by the trace constraint, giving rhs b = e_0.
 The generator is linear in ten real parameters (dw1, dw2, Re/Im lambda~_1,
 Re/Im lambda~_2, G12, gamma~_1, gamma~_2, Gamma12), so its 16 x 16 matrix
 is a fixed combination of ten precomputed term matrices.  Every function
-here works on a stack of B parameter sets at once: the fields of one
+here works on a stack of B parameter sets at once.  `steady_state` is the
+one call from mediated parameters to checked states: the fields of one
 MediatedParams (scalars or (B,) arrays, e.g. one entry per intensity of a
 sweep column) broadcast into B parameter rows, one einsum assembles the B
 systems, one batched solve gives the B states, and the state checks
-(Hermiticity, trace, positivity, stationarity residual), the concurrence
-and the Dicke populations are each one stacked numpy call.  All-scalar
-fields are the stack of one.
+(Hermiticity, trace, positivity, stationarity residual) run on the whole
+stack.  The concurrence and the Dicke populations are each one stacked
+numpy call too.  All-scalar fields are the stack of one.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +40,7 @@ __all__ = [
     "SIGMA_1",
     "SIGMA_2",
     "TwoQubitState",
-    "EvolutionMatrix",
     "DickePopulations",
-    "build_effective_generator",
-    "solve_steady",
     "steady_state",
     "concurrence",
     "dicke_populations",
@@ -155,7 +152,7 @@ def _parameter_rows(mp: MediatedParams) -> np.ndarray:
 POSITIVITY_TOL = 1e-9
 
 
-def _state_checks(rho: np.ndarray, positivity_tol: float):
+def _state_checks(rho: np.ndarray):
     """Per-state invariant checks of a (B, 4, 4) stack.
 
     Returns the checks as (failure mask, message for state i) pairs in
@@ -170,9 +167,9 @@ def _state_checks(rho: np.ndarray, positivity_tol: float):
         (~finite, lambda i: "state is not finite"),
         (herm > 1e-10, lambda i: f"state is not Hermitian: max asymmetry {herm[i]:.3e}"),
         (tr_err > 1e-10, lambda i: f"state trace deviates from 1 by {tr_err[i]:.3e}"),
-        (emin < -positivity_tol, lambda i: (
+        (emin < -POSITIVITY_TOL, lambda i: (
             f"state has negative eigenvalue {emin[i]:.3e} "
-            f"below tolerance {positivity_tol:.1e}")),
+            f"below tolerance {POSITIVITY_TOL:.1e}")),
     ]
     return checks, emin
 
@@ -191,13 +188,13 @@ def _first_failure(checks):
     return None if first is None else (first[0], first[1](first[0]))
 
 
-def _log_round_off(emin: np.ndarray, positivity_tol: float) -> None:
+def _log_round_off(emin: np.ndarray) -> None:
     negative = emin < 0
     if negative.any():
         logger.warning(
             "%d of %d states have a round-off negative eigenvalue "
             "(most negative %.3e, tolerance %.1e)",
-            int(negative.sum()), emin.size, emin.min(), positivity_tol,
+            int(negative.sum()), emin.size, emin.min(), POSITIVITY_TOL,
         )
 
 
@@ -209,72 +206,49 @@ class TwoQubitState:
     """
 
     rho: np.ndarray
-    basis: str = "computational"
 
-    def validate(self, positivity_tol: float = POSITIVITY_TOL) -> "TwoQubitState":
+    def validate(self) -> "TwoQubitState":
         """Check Hermiticity, unit trace and positivity (up to tolerance)."""
         stacked = self.rho.ndim == 3
-        checks, emin = _state_checks(self.rho.reshape(-1, 4, 4), positivity_tol)
+        checks, emin = _state_checks(self.rho.reshape(-1, 4, 4))
         failure = _first_failure(checks)
         if failure is not None:
             i, message = failure
             raise NumericalError(f"{message} (state {i})" if stacked else message)
-        _log_round_off(emin, positivity_tol)
+        _log_round_off(emin)
         return self
 
-    def in_dicke_basis(self) -> np.ndarray:
-        """Density matrix (or stack) rotated to the Dicke basis {g, s, a, e}."""
-        w = _DICKE_ROTATION
-        return w @ self.rho @ w.conj().T
 
-
-@dataclass(frozen=True)
-class EvolutionMatrix:
-    """Stack of real 16 x 16 stationarity systems M x = e_0.
-
-    m and m_raw have shape (B, 16, 16).  m_raw is the generator before the
-    trace-row replacement; it is kept for residual checks (a steady state
-    satisfies m_raw @ x = 0).  rows holds the parameters the stack was
-    assembled from, (10,) for a single set and (B, 10) otherwise; their
-    collective rates name a degenerate point in errors.
-    """
-
-    m: np.ndarray
-    m_raw: np.ndarray
-    n: int
-    rows: np.ndarray
-
-    def context(self, i: int) -> str:
-        """Collective rates of parameter set i, for error messages."""
-        row = self.rows.reshape(-1, self.rows.shape[-1])[i]
-        _, _, re1, im1, re2, im2, _, gamma_1, gamma_2, gamma_diss = row
-        lt1, lt2 = complex(re1, im1), complex(re2, im2)
-        gavg = 0.5 * (gamma_1 + gamma_2)
-        return (
-            f"n={self.n}, gamma_s={gavg + gamma_diss:.6e}, "
-            f"gamma_a={gavg - gamma_diss:.6e}, "
-            f"|omega_s|={abs(lt1 + lt2) / math.sqrt(2):.6e}, "
-            f"|omega_a|={abs(lt1 - lt2) / math.sqrt(2):.6e}"
-        )
-
-
-def build_effective_generator(mp: MediatedParams) -> EvolutionMatrix:
-    """Assemble the real stationarity systems of mediated parameters whose
-    fields are scalars or (B,) arrays."""
+def _stationarity_matrices(mp: MediatedParams) -> tuple:
+    """Parameter rows of mp, (10,) or (B, 10), and the (B, 16, 16)
+    generators assembled from them, before the trace-row replacement."""
     rows = _parameter_rows(mp)
-    stack = rows.reshape(-1, rows.shape[-1])
-    m_raw = np.einsum("bp,pij->bij", stack, _GENERATOR_TERMS)
-    m = m_raw.copy()
-    m[:, 0, :] = 0.0
-    m[:, 0, :4] = 1.0
-    return EvolutionMatrix(m=m, m_raw=m_raw, n=mp.n, rows=rows)
+    m_raw = np.einsum("bp,pij->bij", rows.reshape(-1, rows.shape[-1]), _GENERATOR_TERMS)
+    return rows, m_raw
 
 
-def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitState:
-    """Solve every system of the stack and reconstruct the (B, 4, 4) states.
+def _context(n: int, row: np.ndarray) -> str:
+    """Collective rates of one parameter row, for error messages."""
+    _, _, re1, im1, re2, im2, _, gamma_1, gamma_2, gamma_diss = row
+    lt1, lt2 = complex(re1, im1), complex(re2, im2)
+    gavg = 0.5 * (gamma_1 + gamma_2)
+    return (
+        f"n={n}, gamma_s={gavg + gamma_diss:.6e}, "
+        f"gamma_a={gavg - gamma_diss:.6e}, "
+        f"|omega_s|={abs(lt1 + lt2) / math.sqrt(2):.6e}, "
+        f"|omega_a|={abs(lt1 - lt2) / math.sqrt(2):.6e}"
+    )
 
-    Each state passes the TwoQubitState invariants and the stationarity
-    residual check, or the whole stack is refused.
+
+def steady_state(mp: MediatedParams) -> TwoQubitState:
+    """Steady state of mediated parameters: a 4 x 4 state when every field
+    is a scalar, a (B, 4, 4) stack when some are (B,) arrays.
+
+    One call assembles the B stationarity systems, replaces their rho_00
+    rows by the trace, solves them in one batch and checks every state:
+    the TwoQubitState invariants and the residual against the generator
+    (a steady state satisfies m_raw @ x = 0).  If one state fails, the
+    whole stack is refused.
 
     Raises
     ------
@@ -283,34 +257,28 @@ def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitS
         (for example a dark collective channel that is neither decaying
         nor driven) or its state violates an invariant.
     """
+    rows, m_raw = _stationarity_matrices(mp)
+    stack = rows.reshape(-1, rows.shape[-1])
+    m = m_raw.copy()
+    m[:, 0, :] = 0.0
+    m[:, 0, :4] = 1.0
     rhs = np.zeros(16)
     rhs[0] = 1.0
     try:
-        x = np.linalg.solve(em.m, rhs)
+        x = np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         # LU breaks down on an exactly zero pivot, which slogdet reports as
         # sign 0 for the same matrices
-        singular = np.flatnonzero(np.linalg.slogdet(em.m)[0] == 0)
-        where = em.context(int(singular[0])) if singular.size else "unknown point"
+        singular = np.flatnonzero(np.linalg.slogdet(m)[0] == 0)
+        where = _context(mp.n, stack[singular[0]]) if singular.size else "unknown point"
         raise NumericalError(
             "stationarity system is singular (a collective channel is "
             f"neither decaying nor driven): {where}"
         ) from exc
-    if check_condition and len(em.m):
-        cond = np.linalg.cond(em.m)
-        worst = int(np.argmax(cond))
-        if cond[worst] > 1e12:
-            warnings.warn(
-                f"{int((cond > 1e12).sum())} stationarity systems are "
-                f"ill-conditioned (worst cond = {cond[worst]:.3e}); the steady "
-                f"state may be inaccurate ({em.context(worst)})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     rho = _unpack(x)
-    checks, emin = _state_checks(rho, POSITIVITY_TOL)
-    residual = np.linalg.norm(np.einsum("bij,bj->bi", em.m_raw, x), axis=1)
-    norm = np.linalg.norm(em.m_raw, axis=(1, 2))
+    checks, emin = _state_checks(rho)
+    residual = np.linalg.norm(np.einsum("bij,bj->bi", m_raw, x), axis=1)
+    norm = np.linalg.norm(m_raw, axis=(1, 2))
     checks.append((
         residual > 1e-10 * np.maximum(norm, 1.0),
         lambda i: (f"steady state violates stationarity: residual "
@@ -319,17 +287,9 @@ def solve_steady(em: EvolutionMatrix, check_condition: bool = True) -> TwoQubitS
     failure = _first_failure(checks)
     if failure is not None:
         i, message = failure
-        raise NumericalError(f"{message}; degenerate parameter set: {em.context(i)}")
-    _log_round_off(emin, POSITIVITY_TOL)
-    return TwoQubitState(rho=rho)
-
-
-def steady_state(mp: MediatedParams, check_condition: bool = False) -> TwoQubitState:
-    """Steady state of mediated parameters: a 4 x 4 state when every field
-    is a scalar, a (B, 4, 4) stack when some are (B,) arrays."""
-    em = build_effective_generator(mp)
-    state = solve_steady(em, check_condition=check_condition)
-    return TwoQubitState(rho=state.rho.reshape(em.rows.shape[:-1] + (4, 4)))
+        raise NumericalError(f"{message}; degenerate parameter set: {_context(mp.n, stack[i])}")
+    _log_round_off(emin)
+    return TwoQubitState(rho=rho.reshape(rows.shape[:-1] + (4, 4)))
 
 
 def concurrence(state):
@@ -373,7 +333,7 @@ class DickePopulations:
 
 def dicke_populations(state: TwoQubitState) -> DickePopulations:
     """Rotate to the Dicke basis and read off populations and rho_sa."""
-    rd = state.in_dicke_basis()
+    rd = _DICKE_ROTATION @ state.rho @ _DICKE_ROTATION.conj().T
     single = rd.ndim == 2
     rd = rd.reshape(-1, 4, 4)
 

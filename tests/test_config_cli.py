@@ -1,6 +1,8 @@
 """Config parsing, CSV output and the CLI front end."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,12 @@ def test_malformed_line_rejected():
         "geometry.r_nm = thirty",
         "drive.intensity_w_cm2 = 10:5:1",
         "metal.radiative_damping = maybe",
+        "metal.eps_inf = nan",
+        "geometry.r_nm = inf",
+        "geometry.s_z = nan",
+        "drive.intensity_w_cm2 = 0:inf:1",
+        "drive.intensity_w_cm2 = 0:1:nan",
+        "qd.delta_over_gamma = ",
     ],
 )
 def test_range_and_type_checks(line):
@@ -90,6 +98,35 @@ def test_overrides_and_bad_override():
     assert cfg.drive.phi_over_pi == 1.0
     with pytest.raises(ConfigError):
         apply_overrides(ExperimentConfig(), ["geometry.n"])
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def _config_entries(cfg: ExperimentConfig) -> dict:
+    return {
+        f"{section.name}.{item.name}": getattr(getattr(cfg, section.name), item.name)
+        for section in dataclasses.fields(cfg)
+        for item in dataclasses.fields(getattr(cfg, section.name))
+    }
+
+
+def test_readme_configuration_block_is_the_defaults():
+    """README's configuration block names every key once and parses to the
+    defaults (floats within 1e-9 relative)."""
+    block = _readme_config_block()
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+    defaults = _config_entries(ExperimentConfig())
+    assert sorted(keys) == sorted(defaults) and len(keys) == 26
+    parsed = _config_entries(parse_config_text(block))
+    for key, default in defaults.items():
+        if isinstance(default, (float, tuple)):
+            assert parsed[key] == pytest.approx(default, rel=1e-9, abs=0.0), key
+        else:
+            assert parsed[key] == default, key
 
 
 def test_grid_syntax_inclusive_endpoints():
@@ -224,10 +261,11 @@ def test_validate_rows_and_skip_marker(tmp_path):
         solver.fock_levels = 3
         qd.detuning_mode = antisymmetric
         qd.delta_over_gamma = 80
+        drive.intensity_w_cm2 = 0, 40
         output.csv = {tmp_path / 'v.csv'}
         """
     )
-    rows, summaries = run_validate(cfg, intensities_w_cm2=(0.0, 40.0))
+    rows, summaries = run_validate(cfg)
     n1_rows = [r for r in rows if r[0] == 1 and not r[6]]
     assert len(n1_rows) == 2
     assert n1_rows[0][5] == pytest.approx(0.0, abs=1e-12)  # zero drive agrees exactly
@@ -243,9 +281,10 @@ def test_validate_memory_refusal_becomes_error_row():
         solver.validate_max_n = 3
         solver.fock_levels = 4
         solver.memory_budget_gb = 0.001
+        drive.intensity_w_cm2 = 0
         """
     )
-    rows, summaries = run_validate(cfg, intensities_w_cm2=(0.0,))
+    rows, summaries = run_validate(cfg)
     assert len(rows) == 1
     assert "budget" in rows[0][6]
     assert summaries == {}
@@ -261,6 +300,22 @@ def test_cli_couplings_end_to_end(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.exists()
     assert "couplings: 6 rows" in capsys.readouterr().out
+
+
+def test_cli_validate_runs_on_the_configured_intensities(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    code = main([
+        "validate",
+        "--set", "geometry.n=1,2",
+        "--set", "solver.fock_levels=3",
+        "--set", "drive.intensity_w_cm2=0,40",
+        "--out", str(out),
+    ])
+    assert code == EXIT_OK
+    assert "validate: 4 rows" in capsys.readouterr().out
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for n in ("1", "2"):
+        assert [float(r[2]) for r in rows if r[0] == n] == [0.0, 40.0]
 
 
 def test_cli_reports_config_error(tmp_path, capsys):
