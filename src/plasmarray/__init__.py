@@ -8,7 +8,13 @@ master equation, solves for its steady state and quantifies entanglement
 through the concurrence.  An explicit Fock-space simulation of the full
 chain validates the effective model on small systems, and a CLI runs the
 named sweep experiments with CSV output.
+
+Only the explicit-mode validator needs scipy: `FockConfig` and
+`validate_against_effective` load `plasmarray.fullmodel` on first access,
+so the effective-model pipeline imports numpy alone.
 """
+
+import importlib
 
 from .config import ExperimentConfig, apply_overrides, parse_config, parse_config_text
 from .effective import (
@@ -29,7 +35,6 @@ from .exceptions import (
     NumericalError,
     PlasmarrayError,
 )
-from .fullmodel import FockConfig, validate_against_effective
 from .numerics import (
     FitResult,
     fit_exponential_decay,
@@ -57,3 +62,9 @@ from .steadystate import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("FockConfig", "validate_against_effective"):
+        return getattr(importlib.import_module(".fullmodel", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

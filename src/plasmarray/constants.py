@@ -9,12 +9,11 @@ truth for the whole package.
 
 import math
 
-from scipy import constants as _sc
-
-HBAR = _sc.hbar                     # J s
-E_CHARGE = _sc.elementary_charge    # C
-C_LIGHT = _sc.c                     # m/s
-EPS_0 = _sc.epsilon_0               # F/m
+# SI-exact and CODATA 2022 values, written as scipy.constants derives them
+HBAR = 6.62607015e-34 / (2 * math.pi)   # J s
+E_CHARGE = 1.602176634e-19              # C
+C_LIGHT = 299792458.0                   # m/s
+EPS_0 = 8.8541878188e-12                # F/m
 
 # 1 eV of angular frequency: omega = E/hbar
 EV_TO_RAD_PER_S = E_CHARGE / HBAR

@@ -23,7 +23,6 @@ collected in task order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .config import ExperimentConfig
 from .constants import NM, W_CM2_TO_W_M2, omega_to_wavelength_nm, wavelength_nm_to_omega
 from .effective import decay_spectrum, mediated_params
 from .exceptions import ConfigError, MemoryBudgetError
-from .fullmodel import FockConfig, validate_against_effective
 from .numerics import fit_exponential_decay, fit_quadratic
 from .plasmonics import (
     ArrayGeometry,
@@ -140,6 +138,8 @@ def write_csv(path: str, header, rows, precision: int = 12) -> None:
 def _map_tasks(fn, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks))
 
@@ -389,6 +389,9 @@ def run_validate(cfg: ExperimentConfig):
     A chain that exceeds the memory budget contributes a structured error
     row instead of aborting the whole run.
     """
+    # the explicit-mode model is the only scipy user; import it on demand
+    from .fullmodel import FockConfig, validate_against_effective
+
     mat = material_from(cfg)
     if cfg.qd.detuning_mode != "none" and len(cfg.qd.delta_over_gamma) != 1:
         raise ConfigError("validate expects a single qd.delta_over_gamma value")

@@ -123,14 +123,20 @@ def derive_material(
     denom = metal.eps_inf + 2.0 * medium.eps_m
     omega_0 = metal.omega_p / math.sqrt(denom)
     eta = omega_0 / (2.0 * denom)
-    mu_mnp = 2.0 * medium.eps_m * math.sqrt(3.0 * math.pi * EPS_0 * HBAR * eta * r**3)
-    gamma_nr = metal.gamma_p * (1.0 + (metal.gamma_p / omega_0) ** 2)
-    gamma_r = 0.0
-    if include_radiative:
-        gamma_r = (
-            mu_mnp**2 * math.sqrt(medium.eps_m) * omega_0**3
-            / (3.0 * math.pi * EPS_0 * HBAR * C_LIGHT**3)
-        )
+    try:
+        mu_mnp = 2.0 * medium.eps_m * math.sqrt(3.0 * math.pi * EPS_0 * HBAR * eta * r**3)
+        gamma_nr = metal.gamma_p * (1.0 + (metal.gamma_p / omega_0) ** 2)
+        gamma_r = 0.0
+        if include_radiative:
+            gamma_r = (
+                mu_mnp**2 * math.sqrt(medium.eps_m) * omega_0**3
+                / (3.0 * math.pi * EPS_0 * HBAR * C_LIGHT**3)
+            )
+    except OverflowError:
+        raise DomainError(
+            f"material inputs overflow the particle dipole moment or damping: "
+            f"r={r} m, omega_p={metal.omega_p} rad/s, gamma_p={metal.gamma_p} rad/s"
+        ) from None
     gamma_0 = gamma_nr + gamma_r
     if gamma_0 == 0.0:
         # an undamped particle has no steady response: delta and the chain
@@ -256,9 +262,15 @@ def bare_couplings(geom: ArrayGeometry, qd: QdParams, mat: MaterialSystem) -> Ba
     """Bare coupling rates g and kappa for the given geometry and materials."""
     if geom.d_qn <= 0 or geom.d_nn <= 0:
         raise DomainError("geometry produced non-positive distances")
-    root = math.sqrt(3.0 * geom.r**3 * mat.eta / (4.0 * math.pi * EPS_0 * HBAR))
-    g = geom.s_z * qd.mu_qd / geom.d_qn**3 * root
-    kappa = 3.0 * geom.s_z * mat.medium.eps_m * mat.eta * (geom.r / geom.d_nn) ** 3
+    try:
+        root = math.sqrt(3.0 * geom.r**3 * mat.eta / (4.0 * math.pi * EPS_0 * HBAR))
+        g = geom.s_z * qd.mu_qd / geom.d_qn**3 * root
+        kappa = 3.0 * geom.s_z * mat.medium.eps_m * mat.eta * (geom.r / geom.d_nn) ** 3
+    except OverflowError:
+        raise DomainError(
+            f"geometry overflows the coupling rates: r={geom.r} m, "
+            f"d_qn={geom.d_qn} m, d_nn={geom.d_nn} m"
+        ) from None
     return BareCouplings(g=g, kappa=kappa)
 
 

@@ -324,6 +324,15 @@ def test_cli_reports_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["geometry.r_nm", "geometry.s_nm"])
+def test_cli_reports_overflowing_geometry_as_domain_error(key, capsys):
+    code = main(["concurrence", "--set", "geometry.n=1",
+                 "--set", "drive.intensity_w_cm2=1", "--set", f"{key}=1e300"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflow" in err
+
+
 def test_cli_rejects_unreadable_config(tmp_path):
     assert main(["couplings", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
 
