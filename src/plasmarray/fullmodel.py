@@ -12,14 +12,17 @@ Every drive rate is proportional to the field amplitude e0, so at fixed
 geometry, dots, truncation and frequency the generator is
 L(e0) = L_0 + e0 L_1: L_0 holds the detunings, hopping, dot-mode exchange
 and dissipators, L_1 the commutator with the unit-amplitude drive.  One
-validation case assembles both once and solves its intensities in turn.
-The first intensity's incomplete LU factor preconditions LGMRES for the
-rest; a point that does not converge with it escalates to its own ILU
-and then to a full sparse LU.
+validation case assembles both once and solves its intensities in turn,
+with one natural-order ILU of L_0 per case as the LGMRES preconditioner of
+every intensity.  The row-major Fock ordering keeps the superoperator
+near-banded, which a fill-reducing column permutation would destroy, and
+L_0 does not depend on the intensity grid.  A point that does not
+converge with that factor escalates to its own ILU and then to a full
+sparse LU.
 
 This path scales exponentially in n and exists to validate the effective
 model on small chains; construction refuses up front when the estimated
-superoperator exceeds the memory budget.
+memory of the solve (FockConfig.estimated_solve_bytes) exceeds the budget.
 """
 
 from __future__ import annotations
@@ -60,8 +63,18 @@ __all__ = [
 DIRECT_SOLVE_MAX_DIM = 32
 # a full-model steady state is accepted when ||L vec(rho)|| <= RESIDUAL_TOL ||L||
 RESIDUAL_TOL = 1e-8
+# the one ILU of the undriven generator L_0 that preconditions a whole case
+SHARED_DROP_TOL = 3e-3
+SHARED_FILL_FACTOR = 5.0
 
 _BYTES_PER_NNZ = 28  # complex128 value + int32 index + row-pointer share
+_BYTES_PER_VALUE = 16  # complex128
+# LGMRES restart length and kept correction vectors (scipy's defaults);
+# it holds inner_m + outer_k + 1 Arnoldi vectors, as many preconditioned
+# ones and outer_k stored pairs
+_LGMRES_INNER_M = 30
+_LGMRES_OUTER_K = 3
+_LGMRES_VECTORS = 2 * (_LGMRES_INNER_M + _LGMRES_OUTER_K) + 1 + 2 * _LGMRES_OUTER_K
 
 
 @dataclass(frozen=True)
@@ -88,15 +101,33 @@ class FockConfig:
     def dim(self) -> int:
         return 4 * self.fock_levels**self.n
 
-    def estimated_superop_bytes(self) -> int:
-        # ~(7n + 20) stored entries per superoperator row, 28 bytes each
-        return _BYTES_PER_NNZ * (7 * self.n + 20) * self.dim**2
+    def estimated_solve_bytes(self, states: int) -> int:
+        """An upper bound on what steady_state_full holds at once when it
+        solves `states` drive amplitudes.
 
-    def check_budget(self) -> None:
-        est = self.estimated_superop_bytes()
+        Per superoperator row the Hamiltonian has at most 2n + 1 entries
+        (diagonal, n - 1 hopping pairs, one exchange term per dot), so its
+        commutator has at most 4n + 1; the n + 2 collapse channels add one
+        off-diagonal entry each, giving 5n + 3 for L_0.  The drive puts
+        2n + 2 entries in a Hamiltonian row, 4n + 4 in L_1.  Held together:
+        L_0, L_1, one trace-constrained generator (9n + 7 per row, plus the
+        dim-entry trace row), the shared ILU of L_0 (at most
+        SHARED_FILL_FACTOR times its entries), the LGMRES basis and the
+        dim x dim states it returns.  A point that escalates holds its own
+        ILU on top of this.
+        """
+        rows = self.dim**2
+        nnz_l0 = (5 * self.n + 3) * rows + self.dim
+        nnz = (nnz_l0 + (4 * self.n + 4) * rows + (9 * self.n + 7) * rows + self.dim
+               + SHARED_FILL_FACTOR * nnz_l0)
+        vectors = _LGMRES_VECTORS + states
+        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * vectors * rows)
+
+    def check_budget(self, states: int) -> None:
+        est = self.estimated_solve_bytes(states)
         if est > self.memory_budget_bytes:
             raise MemoryBudgetError(
-                f"superoperator for n={self.n}, N={self.fock_levels} "
+                f"explicit-mode solve for n={self.n}, N={self.fock_levels} "
                 f"(dim {self.dim}) needs ~{est / 2**30:.2f} GiB, over the "
                 f"budget of {self.memory_budget_bytes / 2**30:.2f} GiB"
             )
@@ -157,7 +188,7 @@ def build_full_system(
     """
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
-    cfg.check_budget()
+    cfg.check_budget(np.size(drive.e0))
     dims = cfg.dims
     nlev = cfg.fock_levels
 
@@ -229,42 +260,48 @@ def _lgmres(a: sp.csr_matrix, b: np.ndarray, precond) -> tuple:
     # lgmres divides by a zero Krylov norm when the preconditioner is
     # already exact (undriven systems); the residual check governs
     with np.errstate(divide="ignore", invalid="ignore"):
-        return spla.lgmres(a, b, M=op, rtol=1e-13, atol=1e-16, maxiter=500)
+        return spla.lgmres(a, b, M=op, rtol=1e-13, atol=1e-16, maxiter=500,
+                           inner_m=_LGMRES_INNER_M, outer_k=_LGMRES_OUTER_K)
 
 
-def _solve_trace_constrained(a: sp.csr_matrix, b: np.ndarray, dim: int, precond) -> tuple:
+def _natural_ilu(a: sp.csr_matrix, drop_tol: float, fill_factor: float):
+    """Incomplete LU of `a` in its own (natural) row and column order."""
+    return spla.spilu(a.tocsc(), drop_tol=drop_tol, fill_factor=fill_factor,
+                      permc_spec="NATURAL")
+
+
+def _solve_trace_constrained(a: sp.csr_matrix, b: np.ndarray, dim: int, shared) -> np.ndarray:
     """Solve the trace-constrained system, escalating through solvers.
 
-    The generator entries are pre-scaled to O(1), so an aggressive
-    incomplete LU is an excellent preconditioner.  Within one case the
-    generators differ only in the drive term, so `precond`, the factor of
-    an earlier generator of the case (None for the first), is tried first
-    and the case is factored once.  If LGMRES does not converge with it,
-    this system is factored afresh (ILU 1e-2, then ILU 1e-4) and, failing
-    both, solved by a full sparse LU.  Returns the solution and the
-    factor to hand to the next generator.
+    The generator entries are pre-scaled to O(1), so an incomplete LU is an
+    excellent preconditioner.  Within one case the generators differ from
+    L_0 only in the drive term, so `shared`, the case's one natural-order
+    ILU of L_0 (None when that factorisation failed), is tried first.  If
+    LGMRES does not converge with it, this system is factored on its own
+    (ILU 1e-2, then ILU 1e-4) and, failing both, solved by a full sparse
+    LU.  Nothing is handed on to the next generator.
     """
     if dim <= DIRECT_SOLVE_MAX_DIM:
-        return spla.spsolve(a.tocsc(), b), None
-    if precond is not None:
-        v, info = _lgmres(a, b, precond)
+        return spla.spsolve(a.tocsc(), b)
+    if shared is not None:
+        v, info = _lgmres(a, b, shared)
         if info == 0:
-            return v, precond
+            return v
     for drop_tol, fill_factor in ((1e-2, 5.0), (1e-4, 15.0)):
         try:
-            factor = spla.spilu(a.tocsc(), drop_tol=drop_tol, fill_factor=fill_factor)
+            factor = _natural_ilu(a, drop_tol, fill_factor)
         except RuntimeError:
             continue
         v, info = _lgmres(a, b, factor)
         if info == 0:
-            return v, factor
+            return v
     try:
-        return spla.spsolve(a.tocsc(), b), precond
+        return spla.spsolve(a.tocsc(), b)
     except (RuntimeError, MemoryError) as exc:
         raise NumericalError(f"all steady-state solvers failed: {exc}") from exc
 
 
-def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond) -> tuple:
+def _checked_steady_state(l_0, l_1, e0: float, dim: int, shared) -> np.ndarray:
     """Steady state of the generator L_0 + e0 L_1, validated against it."""
     l_op = l_0 + e0 * l_1
     l_norm = spla.norm(l_op)
@@ -272,7 +309,7 @@ def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond) -> tuple:
     del l_op  # not held through the solve; L v is formed from the parts
     b = np.zeros(dim * dim, dtype=complex)
     b[0] = 1.0
-    v, precond = _solve_trace_constrained(a, b, dim, precond)
+    v = _solve_trace_constrained(a, b, dim, shared)
     residual = float(np.linalg.norm(l_0 @ v + e0 * (l_1 @ v))) / max(l_norm, 1.0)
     if residual > RESIDUAL_TOL:
         raise NumericalError(
@@ -284,7 +321,19 @@ def _checked_steady_state(l_0, l_1, e0: float, dim: int, precond) -> tuple:
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-10:
         raise NumericalError(f"steady-state trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    return rho, precond
+    return rho
+
+
+def _undriven_factor(l_0: sp.csr_matrix, dim: int):
+    """The case's shared preconditioner: one natural-order ILU of the
+    trace-constrained L_0, or None when the system is solved directly or
+    the factorisation fails."""
+    if dim <= DIRECT_SOLVE_MAX_DIM:
+        return None
+    try:
+        return _natural_ilu(_trace_constrained(l_0, dim), SHARED_DROP_TOL, SHARED_FILL_FACTOR)
+    except RuntimeError:
+        return None
 
 
 def steady_state_full(system: FullSystem) -> np.ndarray:
@@ -295,21 +344,21 @@ def steady_state_full(system: FullSystem) -> np.ndarray:
     generator is formed and solved in turn, so one is held at a time: it
     is scaled to O(1) entries, its first row replaced by the trace
     constraint and the sparse system solved (directly for tiny
-    dimensions, otherwise by LGMRES preconditioned with one ILU factor
-    shared by all amplitudes).  Each result is validated against its own
-    generator: ||L vec(rho)|| <= RESIDUAL_TOL * ||L||, Hermitised and
-    trace-checked.  Returns one (dim, dim) state for a scalar e0 and a
-    (B, dim, dim) stack otherwise.
+    dimensions, otherwise by LGMRES preconditioned with one natural-order
+    ILU of L_0 per case, factored before the first amplitude).  Each
+    result is validated against its own generator: ||L vec(rho)|| <=
+    RESIDUAL_TOL * ||L||, Hermitised and trace-checked.  Returns one
+    (dim, dim) state for a scalar e0 and a (B, dim, dim) stack otherwise.
     """
     dim = system.cfg.dim
     l_0 = liouvillian(system.h0, system.collapse)
     l_1 = liouvillian(system.h1)
-    precond = None
-    states = []
-    for e0 in np.ravel(system.e0).tolist():
-        rho, precond = _checked_steady_state(l_0, l_1, e0, dim, precond)
-        states.append(rho)
-    return np.array(states) if np.ndim(system.e0) else states[0]
+    shared = _undriven_factor(l_0, dim)
+    e0s = np.ravel(system.e0).tolist()
+    states = np.empty((len(e0s), dim, dim), dtype=complex)
+    for k, e0 in enumerate(e0s):
+        states[k] = _checked_steady_state(l_0, l_1, e0, dim, shared)
+    return states if np.ndim(system.e0) else states[0]
 
 
 # computational relabeling (q1,q2)-major {gg, ge, eg, ee} -> {gg, eg, ge, ee}
@@ -358,7 +407,7 @@ def validate_against_effective(
     intensity_grid is in W/m^2.  Both models see identical physical inputs;
     the drive phase is applied to the bare dot-2 rate on both sides so the
     comparison is like for like.  The full model solves the grid as one
-    case: one assembly and one ILU factor serve every intensity
+    case: one assembly and one natural-order ILU of L_0 serve every intensity
     (steady_state_full).
     """
     if omega is None:

@@ -120,6 +120,10 @@ def derive_material(
     """
     if r <= 0:
         raise DomainError(f"radius must be positive, got {r}")
+    overflow = DomainError(
+        f"material inputs overflow the particle dipole moment or damping: "
+        f"r={r} m, omega_p={metal.omega_p} rad/s, gamma_p={metal.gamma_p} rad/s"
+    )
     denom = metal.eps_inf + 2.0 * medium.eps_m
     omega_0 = metal.omega_p / math.sqrt(denom)
     eta = omega_0 / (2.0 * denom)
@@ -133,11 +137,11 @@ def derive_material(
                 / (3.0 * math.pi * EPS_0 * HBAR * C_LIGHT**3)
             )
     except OverflowError:
-        raise DomainError(
-            f"material inputs overflow the particle dipole moment or damping: "
-            f"r={r} m, omega_p={metal.omega_p} rad/s, gamma_p={metal.gamma_p} rad/s"
-        ) from None
+        raise overflow from None
     gamma_0 = gamma_nr + gamma_r
+    # a float product overflows to inf silently; inf rates give NaN downstream
+    if not all(map(math.isfinite, (eta, mu_mnp, gamma_0))):
+        raise overflow
     if gamma_0 == 0.0:
         # an undamped particle has no steady response: delta and the chain
         # inverse diverge at the resonance
@@ -262,15 +266,18 @@ def bare_couplings(geom: ArrayGeometry, qd: QdParams, mat: MaterialSystem) -> Ba
     """Bare coupling rates g and kappa for the given geometry and materials."""
     if geom.d_qn <= 0 or geom.d_nn <= 0:
         raise DomainError("geometry produced non-positive distances")
+    overflow = DomainError(
+        f"geometry overflows the coupling rates: r={geom.r} m, "
+        f"d_qn={geom.d_qn} m, d_nn={geom.d_nn} m, s_z={geom.s_z}"
+    )
     try:
         root = math.sqrt(3.0 * geom.r**3 * mat.eta / (4.0 * math.pi * EPS_0 * HBAR))
         g = geom.s_z * qd.mu_qd / geom.d_qn**3 * root
         kappa = 3.0 * geom.s_z * mat.medium.eps_m * mat.eta * (geom.r / geom.d_nn) ** 3
     except OverflowError:
-        raise DomainError(
-            f"geometry overflows the coupling rates: r={geom.r} m, "
-            f"d_qn={geom.d_qn} m, d_nn={geom.d_nn} m"
-        ) from None
+        raise overflow from None
+    if not (math.isfinite(g) and math.isfinite(kappa)):
+        raise overflow
     return BareCouplings(g=g, kappa=kappa)
 
 
@@ -316,9 +323,15 @@ def drive_rates(
     intensity = np.asarray(intensity, dtype=float)
     if np.any(intensity < 0):
         raise DomainError(f"intensity must be >= 0, got {intensity.min()}")
-    e0 = np.sqrt(2.0 * intensity / (C_LIGHT * math.sqrt(mat.medium.eps_m) * EPS_0))
-    lambda_1 = e0 * qd.mu_qd / HBAR + 0j
-    omega_m = e0 * mat.mu_mnp / HBAR
+    with np.errstate(over="ignore"):
+        e0 = np.sqrt(2.0 * intensity / (C_LIGHT * math.sqrt(mat.medium.eps_m) * EPS_0))
+        lambda_1 = e0 * qd.mu_qd / HBAR + 0j
+        omega_m = e0 * mat.mu_mnp / HBAR
+    if not (np.all(np.isfinite(lambda_1)) and np.all(np.isfinite(omega_m))):
+        raise DomainError(
+            f"drive overflows the excitation rates: intensity up to "
+            f"{intensity.max()} W/m^2, mu_qd={qd.mu_qd} C m, mu_mnp={mat.mu_mnp} C m"
+        )
     return DriveField(
         omega=np.asarray(omega, dtype=float)[()],
         e0=e0,

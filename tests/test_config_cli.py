@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -324,11 +325,23 @@ def test_cli_reports_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["geometry.r_nm", "geometry.s_nm"])
-def test_cli_reports_overflowing_geometry_as_domain_error(key, capsys):
-    code = main(["concurrence", "--set", "geometry.n=1",
-                 "--set", "drive.intensity_w_cm2=1", "--set", f"{key}=1e300"])
+@pytest.mark.parametrize("override", [
+    # a float power overflows (OverflowError)
+    pytest.param("geometry.r_nm=1e300", id="geometry.r_nm"),
+    pytest.param("geometry.s_nm=1e300", id="geometry.s_nm"),
+    # a float product overflows to inf, which would reach the solver as NaN
+    pytest.param("geometry.r_nm=1e102", id="geometry.r_nm=1e102"),
+    pytest.param("metal.omega_p_ev=1e300", id="metal.omega_p_ev"),
+    pytest.param("geometry.s_z=1e300", id="geometry.s_z"),
+    pytest.param("geometry.r0_nm=1e300", id="geometry.r0_nm"),
+])
+def test_cli_reports_overflowing_geometry_as_domain_error(override, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["concurrence", "--set", "geometry.n=1,2",
+                     "--set", "drive.intensity_w_cm2=1,2", "--set", override])
     assert code == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
 

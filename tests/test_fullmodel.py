@@ -87,13 +87,16 @@ class _CountingSolvers:
 
     fail_lgmres(solvers, k, m) decides whether the k-th LGMRES call (from
     1), preconditioned by m, reports non-convergence (info = 1) instead of
-    running.
+    running.  fail_spilu(k) decides whether the k-th spilu call raises
+    RuntimeError, as SuperLU does for an exactly singular factor.
     """
 
-    def __init__(self, fail_lgmres=lambda solvers, k, m: False):
+    def __init__(self, fail_lgmres=lambda solvers, k, m: False,
+                 fail_spilu=lambda k: False):
         self.calls = {"spilu": 0, "lgmres": 0, "spsolve": 0}
         self.factors = []
         self._fail_lgmres = fail_lgmres
+        self._fail_spilu = fail_spilu
 
     def __getattr__(self, name):
         return getattr(spla, name)
@@ -104,6 +107,8 @@ class _CountingSolvers:
 
     def spilu(self, *args, **kwargs):
         self.calls["spilu"] += 1
+        if self._fail_spilu(self.calls["spilu"]):
+            raise RuntimeError("Factor is exactly singular")
         self.factors.append(spla.spilu(*args, **kwargs))
         return self.factors[-1]
 
@@ -192,6 +197,27 @@ def test_memory_budget_refusal(material, qd_resonant, geometry):
             geometry(3), material, qd_resonant, _drive(material, qd_resonant, 1.0), cfg
         )
     assert "GiB" in str(err.value)
+
+
+def _csr_bytes(m) -> int:
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+@pytest.mark.parametrize("n, nlev", [(1, 4), (2, 4), (3, 3), (3, 4)])
+def test_memory_estimate_bounds_the_assembled_solve(material, qd_resonant, geometry,
+                                                    n, nlev):
+    """The budget estimate covers L_0, L_1, one trace-constrained generator
+    and the shared factor as actually assembled."""
+    cfg = FockConfig(n=n, fock_levels=nlev)
+    system = build_full_system(geometry(n), material, qd_resonant,
+                               _drive(material, qd_resonant, 80.0), cfg)
+    l_0 = liouvillian(system.h0, system.collapse)
+    l_1 = liouvillian(system.h1)
+    held = [l_0, l_1, fullmodel._trace_constrained(l_0 + float(system.e0) * l_1, cfg.dim)]
+    factor = fullmodel._undriven_factor(l_0, cfg.dim)
+    if factor is not None:
+        held += [factor.L, factor.U]
+    assert sum(map(_csr_bytes, held)) <= cfg.estimated_solve_bytes(states=0)
 
 
 def test_config_geometry_mismatch(material, qd_resonant, geometry):
@@ -338,7 +364,8 @@ def test_truncation_convergence_single_particle(material, geometry):
 
 
 # --------------------------------------------------------------------------
-# one case: L(e0) = L_0 + e0 L_1, one ILU factor shared by its intensities
+# one case: L(e0) = L_0 + e0 L_1, one natural-order ILU of L_0 shared by
+# its intensities
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n, nlev", [(1, 3), (2, 3), (3, 2)])
@@ -393,26 +420,9 @@ def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypat
             assert row.c_full > 0.01
 
 
-@pytest.mark.parametrize("fail, expected", [
-    # the case's first factor fails from the second point on: that point
-    # gets its own ILU, and the third point reuses the new factor
-    (lambda solvers, k, m: k > 1 and solvers.is_first_factor(m),
-     {"spilu": 2, "lgmres": 4, "spsolve": 0}),
-    # LGMRES never converges: every point runs the whole chain
-    (lambda solvers, k, m: True, {"spilu": 6, "lgmres": 6, "spsolve": 3}),
-], ids=["first-factor-goes-stale", "lgmres-never-converges"])
-def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, expected):
-    qd = _detuned_pair(material)
-    cfg = FockConfig(n=2, fock_levels=3)
-    assert cfg.dim > fullmodel.DIRECT_SOLVE_MAX_DIM
-    intensities = (0.5, 1.5, 3.0)
-    drive = _drive(material, qd, intensities)
-    system = build_full_system(geometry(2), material, qd, drive, cfg)
-    clean = steady_state_full(system)
-    solvers = _CountingSolvers(fail)
-    monkeypatch.setattr(fullmodel, "spla", solvers)
-    states = steady_state_full(system)
-    assert solvers.calls == expected
+def _assert_solves_case(system, states, clean, cfg):
+    """Each state passes its own residual check and matches the clean
+    solve's concurrence within 1e-10."""
     l_0 = liouvillian(system.h0, system.collapse)
     l_1 = liouvillian(system.h1)
     for e0, rho, ref in zip(system.e0, states, clean):
@@ -420,6 +430,61 @@ def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, e
         assert np.linalg.norm(l_op @ rho.ravel()) <= 1e-8 * spla.norm(l_op)
         assert abs(concurrence(reduce_to_qubits(rho, cfg))
                    - concurrence(reduce_to_qubits(ref, cfg))) <= 1e-10
+
+
+def _three_point_case(material, geometry, intensities=(0.5, 1.5, 3.0)):
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=2, fock_levels=3)
+    assert cfg.dim > fullmodel.DIRECT_SOLVE_MAX_DIM
+    system = build_full_system(geometry(2), material, qd,
+                               _drive(material, qd, intensities), cfg)
+    return system, cfg
+
+
+@pytest.mark.parametrize("fail, expected", [
+    # the case's first factor, the shared one of L_0, fails from the second
+    # point on: each of those points gets its own ILU, and no point hands
+    # its factor on
+    (lambda solvers, k, m: k > 1 and solvers.is_first_factor(m),
+     {"spilu": 3, "lgmres": 5, "spsolve": 0}),
+    # LGMRES never converges: the L_0 factor, then every point runs the
+    # whole chain (its own ILU 1e-2 and 1e-4, then a sparse LU)
+    (lambda solvers, k, m: True, {"spilu": 7, "lgmres": 9, "spsolve": 3}),
+], ids=["first-factor-goes-stale", "lgmres-never-converges"])
+def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, expected):
+    system, cfg = _three_point_case(material, geometry)
+    clean = steady_state_full(system)
+    solvers = _CountingSolvers(fail)
+    monkeypatch.setattr(fullmodel, "spla", solvers)
+    states = steady_state_full(system)
+    assert solvers.calls == expected
+    _assert_solves_case(system, states, clean, cfg)
+
+
+def test_singular_undriven_factor_falls_back_per_point(material, geometry, monkeypatch):
+    """spilu of L_0 raising leaves every point to its own escalation chain."""
+    system, cfg = _three_point_case(material, geometry)
+    clean = steady_state_full(system)
+    solvers = _CountingSolvers(fail_spilu=lambda k: k == 1)
+    monkeypatch.setattr(fullmodel, "spla", solvers)
+    states = steady_state_full(system)
+    assert solvers.calls == {"spilu": 4, "lgmres": 3, "spsolve": 0}
+    _assert_solves_case(system, states, clean, cfg)
+
+
+def test_factor_does_not_depend_on_intensity_order(material, geometry, monkeypatch):
+    """The grid solved forwards and reversed: one spilu call each, and the
+    same states within 1e-10."""
+    intensities = (0.0, 0.5, 1.5, 3.0, 80.0)
+    forward, cfg = _three_point_case(material, geometry, intensities)
+    reverse, _ = _three_point_case(material, geometry, intensities[::-1])
+    runs = []
+    for system in (forward, reverse):
+        solvers = _CountingSolvers()
+        monkeypatch.setattr(fullmodel, "spla", solvers)
+        runs.append(steady_state_full(system))
+        assert solvers.calls == {"spilu": 1, "lgmres": len(intensities), "spsolve": 0}
+    assert np.max(np.abs(runs[0] - runs[1][::-1])) <= 1e-10
 
 
 def test_empty_intensity_grid_gives_an_empty_table(material, qd_resonant, geometry):
