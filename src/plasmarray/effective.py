@@ -143,14 +143,14 @@ def mediated_params(
     NumericalError
         If the chain's coupling matrix is numerically singular at one of
         the driving frequencies.
+    DomainError
+        If a rate or its square overflows (huge but finite inputs).
     """
     if phi_mode not in ("effective", "bare"):
         raise DomainError(f"unknown phi_mode {phi_mode!r}")
     couplings = bare_couplings(geom, qd, mat)
     pole = complex_pole(mat, qd, drive.omega)
     delta = pole.delta
-    k11, k1n, row_sum = chain_end_response(geom.n, -1j * couplings.kappa / delta)
-
     g = couplings.g
     d0 = pole.detuning_0
     half_gamma_0 = 0.5 * mat.gamma_0
@@ -160,28 +160,44 @@ def mediated_params(
         re, im = g * k.real, g * k.imag
         return g * (d0 * re - half_gamma_0 * im), g * (d0 * im + half_gamma_0 * re)
 
-    v_self, u_self = g_quadratures(k11)
-    v_cross, u_cross = g_quadratures(k1n)
-    gamma_tilde = qd.gamma_i + 2.0 * u_self / abs_delta_sq
-    funnelled = 1j * (g * (row_sum * drive.omega_m)) / delta
+    # huge but finite couplings overflow here; the rates are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k11, k1n, row_sum = chain_end_response(geom.n, -1j * couplings.kappa / delta)
+        v_self, u_self = g_quadratures(k11)
+        v_cross, u_cross = g_quadratures(k1n)
+        gamma_tilde = qd.gamma_i + 2.0 * u_self / abs_delta_sq
+        funnelled = 1j * (g * (row_sum * drive.omega_m)) / delta
 
-    lt1 = drive.lambda_1 + funnelled
-    if phi_mode == "effective":
-        lt2 = lt1 * complex(math.cos(drive.phi), math.sin(drive.phi))
-    else:
-        lt2 = drive.lambda_2 + funnelled
+        lt1 = drive.lambda_1 + funnelled
+        if phi_mode == "effective":
+            lt2 = lt1 * complex(math.cos(drive.phi), math.sin(drive.phi))
+        else:
+            lt2 = drive.lambda_2 + funnelled
 
-    return MediatedParams(
-        n=geom.n,
-        delta_omega_tilde_1=pole.detuning_1 - v_self / abs_delta_sq,
-        delta_omega_tilde_2=pole.detuning_2 - v_self / abs_delta_sq,
-        gamma_tilde_1=gamma_tilde,
-        gamma_tilde_2=gamma_tilde,
-        lambda_tilde_1=lt1,
-        lambda_tilde_2=lt2,
-        g_coh=v_cross / abs_delta_sq,
-        gamma_diss=2.0 * u_cross / abs_delta_sq,
-    )
+        mp = MediatedParams(
+            n=geom.n,
+            delta_omega_tilde_1=pole.detuning_1 - v_self / abs_delta_sq,
+            delta_omega_tilde_2=pole.detuning_2 - v_self / abs_delta_sq,
+            gamma_tilde_1=gamma_tilde,
+            gamma_tilde_2=gamma_tilde,
+            lambda_tilde_1=lt1,
+            lambda_tilde_2=lt2,
+            g_coh=v_cross / abs_delta_sq,
+            gamma_diss=2.0 * u_cross / abs_delta_sq,
+        )
+        # the steady-state solve squares the rates (generator norm); a NaN
+        # rate makes the largest magnitude NaN
+        largest = np.abs(np.concatenate([np.ravel(rate) for rate in (
+            mp.delta_omega_tilde_1, mp.delta_omega_tilde_2, gamma_tilde,
+            lt1, lt2, mp.g_coh, mp.gamma_diss)])).max()
+        finite = bool(np.isfinite(largest * largest))
+    if not finite:
+        raise DomainError(
+            f"inputs overflow the mediated rates or their squares: n={geom.n}, "
+            f"g={g} rad/s, kappa={couplings.kappa} rad/s, s_z={geom.s_z}, "
+            f"gamma_0={mat.gamma_0} rad/s"
+        )
+    return mp
 
 
 @dataclass(frozen=True)

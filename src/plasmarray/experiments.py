@@ -127,12 +127,34 @@ def _format_value(value, precision: int) -> str:
 
 
 def write_csv(path: str, header, rows, precision: int = 12) -> None:
-    """Write rows (sequences of cells) with a header, LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(cell, precision) for cell in row))
+    """Write rows (sequences of cells) with a header, LF endings.
+
+    A row whose cells are all exactly float, int or str is formatted by one
+    %-string, built once per tuple of cell types and giving the bytes of
+    _format_value; any other row (None, bool, numpy scalars) goes through
+    _format_value cell by cell.  Lines are written as they are formatted.
+    """
+    codes = {float: f"%.{precision - 1}e", int: "%d", str: "%s"}
+    formats = {}
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for row in rows:
+            shape = tuple(map(type, row))
+            fmt = formats.get(shape)
+            if fmt is None:
+                try:
+                    fmt = ",".join([codes[kind] for kind in shape]) + "\n"
+                except KeyError:  # None, bool (not int here), numpy scalars
+                    fmt = ""
+                formats[shape] = fmt
+            if fmt:
+                yield fmt % tuple(row)
+            else:
+                yield ",".join(_format_value(cell, precision) for cell in row) + "\n"
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(lines())
 
 
 def _map_tasks(fn, tasks, jobs: int):
@@ -171,7 +193,7 @@ def run_couplings(cfg: ExperimentConfig):
         geom = geometry_from(cfg, n)
         mp = mediated_params(geom, mat, qd, drive)
         dist_um = (geom.d_qq - 2.0 * geom.r0) / 1e-6
-        points.append((n, dist_um, mp.g_coh, mp.gamma_diss))
+        points.append((n, dist_um, float(mp.g_coh), float(mp.gamma_diss)))
 
     fits = {}
     for label in set(_sequence_label(n) for n, *_ in points):

@@ -50,6 +50,7 @@ __all__ = [
     "FullSystem",
     "build_full_system",
     "liouvillian",
+    "iter_steady_states",
     "steady_state_full",
     "reduce_to_qubits",
     "ValidationRow",
@@ -102,8 +103,8 @@ class FockConfig:
         return 4 * self.fock_levels**self.n
 
     def estimated_solve_bytes(self, states: int) -> int:
-        """An upper bound on what steady_state_full holds at once when it
-        solves `states` drive amplitudes.
+        """An upper bound on what the explicit-mode solve holds at once
+        while it keeps `states` solved dim x dim states.
 
         Per superoperator row the Hamiltonian has at most 2n + 1 entries
         (diagonal, n - 1 hopping pairs, one exchange term per dot), so its
@@ -113,8 +114,10 @@ class FockConfig:
         L_0, L_1, one trace-constrained generator (9n + 7 per row, plus the
         dim-entry trace row), the shared ILU of L_0 (at most
         SHARED_FILL_FACTOR times its entries), the LGMRES basis and the
-        dim x dim states it returns.  A point that escalates holds its own
-        ILU on top of this.
+        held states: one for iter_steady_states, whose caller reduces each
+        state before the next is solved, and one per drive amplitude for
+        the stack of steady_state_full.  A point that escalates holds its
+        own ILU on top of this.
         """
         rows = self.dim**2
         nnz_l0 = (5 * self.n + 3) * rows + self.dim
@@ -184,11 +187,13 @@ def build_full_system(
     dot-mode exchange -g(s_i^+ a_m + h.c.).  Collapse channels are
     sqrt(gamma_i) s_i and sqrt(gamma_0) a_m.  The inter-laser phase
     e^{i phi} is carried by the dot-2 drive only.  The drive may hold one
-    intensity or several at a single frequency.
+    intensity or several at a single frequency.  The budget check here
+    counts one held state (iter_steady_states); steady_state_full checks
+    its stack again.
     """
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
-    cfg.check_budget(np.size(drive.e0))
+    cfg.check_budget(1)
     dims = cfg.dims
     nlev = cfg.fock_levels
 
@@ -336,8 +341,9 @@ def _undriven_factor(l_0: sp.csr_matrix, dim: int):
         return None
 
 
-def steady_state_full(system: FullSystem) -> np.ndarray:
-    """Steady-state density matrix of the explicit model at each drive amplitude.
+def iter_steady_states(system: FullSystem):
+    """Steady-state density matrix of the explicit model at each drive
+    amplitude, yielded one (dim, dim) state at a time.
 
     The generator is L(e0) = L_0 + e0 L_1, with L_0 = liouvillian(h0,
     collapse) and L_1 = liouvillian(h1) assembled once.  Each amplitude's
@@ -347,17 +353,25 @@ def steady_state_full(system: FullSystem) -> np.ndarray:
     dimensions, otherwise by LGMRES preconditioned with one natural-order
     ILU of L_0 per case, factored before the first amplitude).  Each
     result is validated against its own generator: ||L vec(rho)|| <=
-    RESIDUAL_TOL * ||L||, Hermitised and trace-checked.  Returns one
-    (dim, dim) state for a scalar e0 and a (B, dim, dim) stack otherwise.
+    RESIDUAL_TOL * ||L||, Hermitised and trace-checked.
     """
     dim = system.cfg.dim
     l_0 = liouvillian(system.h0, system.collapse)
     l_1 = liouvillian(system.h1)
     shared = _undriven_factor(l_0, dim)
-    e0s = np.ravel(system.e0).tolist()
-    states = np.empty((len(e0s), dim, dim), dtype=complex)
-    for k, e0 in enumerate(e0s):
-        states[k] = _checked_steady_state(l_0, l_1, e0, dim, shared)
+    for e0 in np.ravel(system.e0).tolist():
+        yield _checked_steady_state(l_0, l_1, e0, dim, shared)
+
+
+def steady_state_full(system: FullSystem) -> np.ndarray:
+    """The states of iter_steady_states, stacked: one (dim, dim) state for
+    a scalar e0 and a (B, dim, dim) stack otherwise.  The budget check
+    counts the B held states."""
+    count = np.size(system.e0)
+    system.cfg.check_budget(count)
+    states = np.empty((count, system.cfg.dim, system.cfg.dim), dtype=complex)
+    for k, rho in enumerate(iter_steady_states(system)):
+        states[k] = rho
     return states if np.ndim(system.e0) else states[0]
 
 
@@ -408,7 +422,8 @@ def validate_against_effective(
     the drive phase is applied to the bare dot-2 rate on both sides so the
     comparison is like for like.  The full model solves the grid as one
     case: one assembly and one natural-order ILU of L_0 serve every intensity
-    (steady_state_full).
+    (iter_steady_states), and each full state is reduced to the dots before
+    the next is solved.
     """
     if omega is None:
         omega = mat.omega_0
@@ -416,7 +431,7 @@ def validate_against_effective(
     drive = drive_rates(intensities, mat, qd, omega, phi)
     c_effs = concurrence(steady_state(
         mediated_params(geom, mat, qd, drive, phi_mode="bare"))).tolist()
-    rho_fulls = steady_state_full(build_full_system(geom, mat, qd, drive, cfg))
+    rho_fulls = iter_steady_states(build_full_system(geom, mat, qd, drive, cfg))
     rows = []
     for intensity, c_eff, rho_full in zip(intensities.tolist(), c_effs, rho_fulls):
         c_full = concurrence(reduce_to_qubits(rho_full, cfg).validate())

@@ -334,6 +334,10 @@ def test_cli_reports_config_error(tmp_path, capsys):
     pytest.param("metal.omega_p_ev=1e300", id="metal.omega_p_ev"),
     pytest.param("geometry.s_z=1e300", id="geometry.s_z"),
     pytest.param("geometry.r0_nm=1e300", id="geometry.r0_nm"),
+    # finite couplings whose mediated rates (1e150) or their squares
+    # (1e100) overflow
+    pytest.param("geometry.s_z=1e150", id="geometry.s_z=1e150"),
+    pytest.param("geometry.s_z=1e100", id="geometry.s_z=1e100"),
 ])
 def test_cli_reports_overflowing_geometry_as_domain_error(override, capsys):
     with warnings.catch_warnings(record=True) as caught:

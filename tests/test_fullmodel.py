@@ -487,6 +487,25 @@ def test_factor_does_not_depend_on_intensity_order(material, geometry, monkeypat
     assert np.max(np.abs(runs[0] - runs[1][::-1])) <= 1e-10
 
 
+def test_validator_budget_counts_one_held_state(material, geometry):
+    """The validator reduces each full state before the next is solved, so
+    its budget counts one held state; the stack of steady_state_full counts
+    one per intensity.  Both give the same states."""
+    qd = _detuned_pair(material)
+    intensities = (0.5, 1.5, 3.0)
+    roomy = FockConfig(n=2, fock_levels=3)
+    one, stack = roomy.estimated_solve_bytes(1), roomy.estimated_solve_bytes(3)
+    tight = FockConfig(n=2, fock_levels=3, memory_budget_bytes=(one + stack) // 2)
+    table = validate_against_effective(geometry(2), material, qd, tight,
+                                       [i * W_CM2_TO_W_M2 for i in intensities])
+    drive = _drive(material, qd, intensities)
+    with pytest.raises(MemoryBudgetError):
+        steady_state_full(build_full_system(geometry(2), material, qd, drive, tight))
+    states = steady_state_full(build_full_system(geometry(2), material, qd, drive, roomy))
+    assert [row.c_full for row in table.rows] == [
+        concurrence(reduce_to_qubits(rho, roomy)) for rho in states]
+
+
 def test_empty_intensity_grid_gives_an_empty_table(material, qd_resonant, geometry):
     table = validate_against_effective(geometry(1), material, qd_resonant,
                                        FockConfig(n=1, fock_levels=3), [])
