@@ -5,20 +5,25 @@ Hilbert space is qubit_1 (x) qubit_2 (x) mode_1 (x) ... (x) mode_n with
 dimension 4 N^n.  The Lindblad generator is vectorized row-major
 (vec(A rho B) = (A kron B^T) vec(rho)) into a sparse dim^2 x dim^2
 superoperator, one row is replaced by the trace constraint and the steady
-state is obtained from a sparse linear solve.  Reduction to the two dots
+state is the solution of that linear system.  Reduction to the two dots
 is a partial trace over all modes.
 
 Every drive rate is proportional to the field amplitude e0, so at fixed
 geometry, dots, truncation and frequency the generator is
 L(e0) = L_0 + e0 L_1: L_0 holds the detunings, hopping, dot-mode exchange
 and dissipators, L_1 the commutator with the unit-amplitude drive.  One
-validation case assembles both once and solves its intensities in turn,
-with one natural-order ILU of L_0 per case as the LGMRES preconditioner of
-every intensity.  The row-major Fock ordering keeps the superoperator
-near-banded, which a fill-reducing column permutation would destroy, and
-L_0 does not depend on the intensity grid.  A point that does not
-converge with that factor escalates to its own ILU and then to a full
-sparse LU.
+validation case assembles both once and solves all its intensities in two
+stages.  First, the undriven generator has an exact and cheap inverse:
+h0 and every c^+ c conserve the total excitation number and each collapse
+operator lowers it by one, so in a basis sorted by that number the
+trace-constrained L_0 is block triangular, with one small Sylvester
+equation per pair of excitation levels (_SectorInverse).  Second, the
+shifted systems L_0 + e0 L_1 share one Krylov space of L_1 L_0^-1, so one
+Arnoldi run of ~10-20 steps solves every intensity of the case at once
+(Frommer & Glaessner, SIAM J. Sci. Comput. 19, 1998).  A point that does
+not converge there, or fails a check, is solved on its own by LGMRES
+preconditioned with the exact inverse, then with its own natural-order ILU
+(after Nation, arXiv:1504.06768), then by a full sparse LU.
 
 This path scales exponentially in n and exists to validate the effective
 model on small chains; construction refuses up front when the estimated
@@ -27,11 +32,14 @@ memory of the solve (FockConfig.estimated_solve_bytes) exceeds the budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import ztrsyl
 
 from .effective import complex_pole, mediated_params
 from .exceptions import DomainError, MemoryBudgetError, NumericalError
@@ -58,15 +66,13 @@ __all__ = [
     "validate_against_effective",
 ]
 
-# direct sparse factorization only for tiny systems; beyond this the
-# ILU-preconditioned Krylov path is both faster and equally accurate
-# (superoperator LU fill-in grows brutally with Hilbert dimension)
-DIRECT_SOLVE_MAX_DIM = 32
 # a full-model steady state is accepted when ||L vec(rho)|| <= RESIDUAL_TOL ||L||
 RESIDUAL_TOL = 1e-8
-# the one ILU of the undriven generator L_0 that preconditions a whole case
-SHARED_DROP_TOL = 3e-3
-SHARED_FILL_FACTOR = 5.0
+# the shifted Arnoldi run: an amplitude is solved once its least-squares
+# residual is within ARNOLDI_RTOL (|e_0| = 1); the run ends by
+# ARNOLDI_MAX_STEPS at the latest
+ARNOLDI_RTOL = 1e-15
+ARNOLDI_MAX_STEPS = 40
 
 _BYTES_PER_NNZ = 28  # complex128 value + int32 index + row-pointer share
 _BYTES_PER_VALUE = 16  # complex128
@@ -76,6 +82,20 @@ _BYTES_PER_VALUE = 16  # complex128
 _LGMRES_INNER_M = 30
 _LGMRES_OUTER_K = 3
 _LGMRES_VECTORS = 2 * (_LGMRES_INNER_M + _LGMRES_OUTER_K) + 1 + 2 * _LGMRES_OUTER_K
+# the fallback's ILU stages as (drop tolerance, fill factor)
+_FALLBACK_ILU = ((1e-2, 5.0), (1e-4, 15.0))
+# dim^2-sized temporaries of one inverse application, one residual check
+# and one Hermitisation
+_WORK_VECTORS = 8
+
+
+def _level_sizes(n: int, fock_levels: int) -> np.ndarray:
+    """How many basis states hold each total excitation number 0, 1, ...
+    (both dots plus all n modes)."""
+    sizes = np.array([1, 2, 1])
+    for _ in range(n):
+        sizes = np.convolve(sizes, np.ones(fock_levels, dtype=np.int64))
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -111,20 +131,32 @@ class FockConfig:
         commutator has at most 4n + 1; the n + 2 collapse channels add one
         off-diagonal entry each, giving 5n + 3 for L_0.  The drive puts
         2n + 2 entries in a Hamiltonian row, 4n + 4 in L_1.  Held together:
-        L_0, L_1, one trace-constrained generator (9n + 7 per row, plus the
-        dim-entry trace row), the shared ILU of L_0 (at most
-        SHARED_FILL_FACTOR times its entries), the LGMRES basis and the
-        held states: one for iter_steady_states, whose caller reduces each
-        state before the next is solved, and one per drive amplitude for
-        the stack of steady_state_full.  A point that escalates holds its
-        own ILU on top of this.
+        L_0 and L_1; the dense blocks of the sector inverse (per excitation
+        level of size d_k the Schur form, its basis and their adjoints and
+        a dense block of A; per level pair and channel the jump block in
+        three layouts); the 2 ARNOLDI_MAX_STEPS + 1 Arnoldi vectors; the
+        working vectors of the inverse, the residual check and the
+        Hermitisation (with the n + 3 dense dim x dim operators the inverse
+        is built from); and the held states: one for iter_steady_states,
+        whose caller reduces each state before the next is solved, and one
+        per drive amplitude for the stack of steady_state_full.  On top of
+        that, a point that escalates holds its trace-constrained generator
+        (9n + 7 per row plus the dim-entry trace row), an ILU of it at the
+        first stage's fill factor and the LGMRES basis; the later ILU
+        1e-4 and sparse-LU stages are not bounded here.
         """
         rows = self.dim**2
-        nnz_l0 = (5 * self.n + 3) * rows + self.dim
-        nnz = (nnz_l0 + (4 * self.n + 4) * rows + (9 * self.n + 7) * rows + self.dim
-               + SHARED_FILL_FACTOR * nnz_l0)
-        vectors = _LGMRES_VECTORS + states
-        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * vectors * rows)
+        sizes = _level_sizes(self.n, self.fock_levels)
+        channels = self.n + 2
+        nnz_point = (9 * self.n + 7) * rows + self.dim
+        nnz = ((5 * self.n + 3) * rows + self.dim + (4 * self.n + 4) * rows
+               + (1 + _FALLBACK_ILU[0][1]) * nnz_point)
+        blocks = (4 * int(np.sum(sizes**2))
+                  + 3 * channels * int(np.sum(sizes[:-1] * sizes[1:]))
+                  + (channels + 1) * self.dim**2)
+        vectors = (2 * ARNOLDI_MAX_STEPS + 1 + _WORK_VECTORS + _LGMRES_VECTORS
+                   + states)
+        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * (blocks + vectors * rows))
 
     def check_budget(self, states: int) -> None:
         est = self.estimated_solve_bytes(states)
@@ -248,9 +280,8 @@ def liouvillian(h: sp.spmatrix, collapse=()) -> sp.csr_matrix:
     return l_op.tocsr()
 
 
-def _trace_constrained(l_op: sp.csr_matrix, dim: int) -> sp.csr_matrix:
-    """l_op scaled to O(1) entries, its first row replaced by the trace."""
-    scale = float(np.max(np.abs(l_op.data))) if l_op.nnz else 1.0
+def _trace_constrained(l_op: sp.csr_matrix, dim: int, scale: float) -> sp.csr_matrix:
+    """l_op divided by `scale`, its first row replaced by the trace."""
     start = l_op.indptr[1]
     data = np.empty(l_op.nnz - start + dim, dtype=complex)
     data[:dim] = 1.0
@@ -258,6 +289,211 @@ def _trace_constrained(l_op: sp.csr_matrix, dim: int) -> sp.csr_matrix:
     indices = np.concatenate([np.arange(dim) * (dim + 1), l_op.indices[start:]])
     indptr = np.concatenate([[0], l_op.indptr[1:] - start + dim])
     return sp.csr_matrix((data, indices, indptr), shape=l_op.shape)
+
+
+class _SectorInverse:
+    """Exact inverse of A_0, the undriven generator L_0 / scale with its
+    first row replaced by the trace.
+
+    h0 and every c^+ c conserve the total excitation number (both dots
+    plus all modes) and each collapse operator lowers it by exactly one.
+    In a basis sorted by excitation number, L_0 therefore maps the (k, l)
+    block of rho onto itself as A_k X + X A_l^+, with
+    A = -i h0 - 1/2 sum gamma c^+ c, and onto the (k-1, l-1) block through
+    the jumps.  A_0 z = v is solved block by block in order of decreasing
+    k + l: one triangular Sylvester solve (ztrsyl) per block in the Schur
+    bases of the A_k, after subtracting the jumps out of the solved
+    (k+1, l+1) block.  The (0, 0) entry, whose Sylvester block is exactly
+    0, comes from the trace row.  A_0 maps Hermitian matrices to Hermitian
+    ones, so a Hermitian v needs only the blocks with k >= l; any other v
+    is solved as its Hermitian and anti-Hermitian parts.  `solve` is also
+    the preconditioner interface of _lgmres.
+    """
+
+    def __init__(self, order, level, schur_t, schur_q, jumps, scale):
+        self._dim = len(order)
+        self._sorted = np.ix_(order, order)
+        self._upper = level[:, None] < level
+        bounds = np.searchsorted(level, np.arange(level[-1] + 2))
+        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self._t = schur_t
+        self._q = schur_q
+        self._qh = [q.conj().T for q in schur_q]
+        # the jumps out of level k + 1 into level k, in the Schur bases, as
+        # (vcat_c B_c, vcat_c B_c^+) with B_c = Q_k^+ sqrt(gamma_c) c Q_k+1
+        self._down = [np.concatenate(b) for b in jumps]
+        self._up = [np.concatenate([b_c.conj().T for b_c in b]) for b in jumps]
+        self._channels = len(jumps[0]) if jumps else 0
+        self._scale = scale
+
+    @classmethod
+    def of(cls, system: FullSystem, scale: float):
+        """The inverse for `system`'s undriven generator, or None when h0 or
+        a collapse operator breaks the excitation-number structure or a
+        level above the ground state has an undamped mode."""
+        levels = np.indices(system.cfg.dims).sum(0).ravel()
+        order = np.argsort(levels, kind="stable")
+        level = levels[order]
+        basis = np.ix_(order, order)
+
+        def dense(op, shift):
+            """op in the sorted basis, or None unless every entry maps
+            level k + shift to level k."""
+            op = op.toarray()[basis]
+            return None if np.any(op[level[:, None] + shift != level]) else op
+
+        a_op = dense(-1j * system.h0 - 0.5 * sum(rate * (c.getH() @ c)
+                                                 for rate, c in system.collapse), 0)
+        channels = [dense(np.sqrt(rate) * c, 1) for rate, c in system.collapse]
+        if a_op is None or any(c is None for c in channels):
+            return None
+        bounds = np.searchsorted(level, np.arange(level[-1] + 2))
+        schur_t, schur_q = [], []
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            t, q = sla.schur(a_op[lo:hi, lo:hi], output="complex")
+            if k and np.max(t.diagonal().real) >= 0.0:
+                return None
+            schur_t.append(t)
+            schur_q.append(q)
+        jumps = [[schur_q[k].conj().T @ c[lo:mid, mid:hi] @ schur_q[k + 1]
+                  for c in channels]
+                 for k, (lo, mid, hi) in enumerate(zip(bounds[:-2], bounds[1:-1],
+                                                       bounds[2:]))]
+        return cls(order, level, schur_t, schur_q, jumps, scale)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """z with A_0 z = v."""
+        x = np.asarray(v, dtype=complex).reshape(self._dim, self._dim)
+        z = self._solve_hermitian(0.5 * (x + x.conj().T))
+        anti = 0.5j * (x.conj().T - x)
+        if np.any(anti):
+            z = z + 1j * self._solve_hermitian(anti)
+        return z.ravel()
+
+    def _solve_hermitian(self, v: np.ndarray) -> np.ndarray:
+        """Z with A_0 vec(Z) = vec(V) for a Hermitian dim x dim V."""
+        x = v[self._sorted] * self._scale
+        slices, q, qh = self._slices, self._q, self._qh
+        for s, qh_k in zip(slices, qh):
+            x[s] = qh_k @ x[s]
+        for s, q_l in zip(slices, q):
+            x[:, s] = x[:, s] @ q_l
+        top, channels = len(slices) - 1, self._channels
+        for total in range(2 * top, 0, -1):
+            for k in range((total + 1) // 2, min(top, total) + 1):
+                l = total - k
+                rows, cols = slices[k], slices[l]
+                rhs = x[rows, cols]
+                if k < top:
+                    inner = self._down[k] @ x[slices[k + 1], slices[l + 1]]
+                    inner = inner.reshape(channels, -1, inner.shape[1]).transpose(1, 0, 2)
+                    rhs = rhs - inner.reshape(rhs.shape[0], -1) @ self._up[l]
+                y, sc, _ = ztrsyl(self._t[k], self._t[l], rhs, tranb="C")
+                x[rows, cols] = y if sc == 1.0 else y / sc
+        x[0, 0] = v[0, 0] - np.trace(x[1:, 1:])
+        np.copyto(x, x.conj().T, where=self._upper)
+        for s, q_k in zip(slices, q):
+            x[s] = q_k @ x[s]
+        for s, qh_l in zip(slices, qh):
+            x[:, s] = x[:, s] @ qh_l
+        z = np.empty_like(x)
+        z[self._sorted] = x
+        return z
+
+
+class _ShiftedLeastSquares:
+    """min || e_1 - (I + e0 H) y || for one drive amplitude, kept by Givens
+    rotations as the shared Arnoldi run adds columns of its (real)
+    Hessenberg matrix H.  Plain Python arithmetic, so an amplitude's y
+    depends on e0 and the columns alone, never on the rest of the grid."""
+
+    def __init__(self, e0: float):
+        self.e0 = e0
+        self.rotations = []
+        self.r_columns = []  # of the triangular factor
+        self.g = [1.0]
+        self.y = None
+
+    def add(self, column: list) -> bool:
+        """Take Arnoldi column j (h_0j .. h_j+1,j).  True once this amplitude
+        is done: y then holds its coefficients, or None when I + e0 H is
+        singular."""
+        e0, j = self.e0, len(self.r_columns)
+        col = [e0 * h for h in column[:-1]]
+        col[j] += 1.0
+        for i, (c, s) in enumerate(self.rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[j], e0 * column[-1])
+        if rho == 0.0:
+            return True
+        c, s = col[j] / rho, e0 * column[-1] / rho
+        self.rotations.append((c, s))
+        col[j] = rho
+        self.r_columns.append(col)
+        self.g.append(-s * self.g[j])
+        self.g[j] *= c
+        if abs(self.g[-1]) > ARNOLDI_RTOL:
+            return False
+        y = [0.0] * (j + 1)
+        for i in range(j, -1, -1):
+            tail = sum(self.r_columns[m][i] * y[m] for m in range(i + 1, j + 1))
+            y[i] = (self.g[i] - tail) / self.r_columns[i][i]
+        self.y = y
+        return True
+
+
+def _shifted_arnoldi(inverse: _SectorInverse, a_1: sp.csr_matrix, amplitudes: list):
+    """Coefficients y (or None) per amplitude and the vectors Z with
+    (A_0 + e0 A_1) (Z y) = e_0.
+
+    Since the shifted systems share the Krylov space of A_1 A_0^-1 from
+    e_0, one Arnoldi run serves every amplitude (Frommer & Glaessner, SIAM
+    J. Sci. Comput. 19, 1998); it keeps Z_j = A_0^-1 v_j.  Classical
+    Gram-Schmidt with one reorthogonalisation; an exactly zero new vector
+    (the undriven case at once) ends the run.  Both generators map
+    Hermitian matrices to Hermitian ones and e_0 is one, so the run stays
+    among them: each new vector is Hermitised, its coefficients are real
+    and every v_j needs only the Hermitian half of the inverse.  Each
+    amplitude keeps its y from the first step where its own residual is
+    within ARNOLDI_RTOL; one that has not converged by ARNOLDI_MAX_STEPS
+    gets None.
+    """
+    size = a_1.shape[0]
+    dim = math.isqrt(size)
+    basis = np.empty((ARNOLDI_MAX_STEPS + 1, size), dtype=complex)
+    solved = np.empty((ARNOLDI_MAX_STEPS, size), dtype=complex)
+    basis[0] = 0.0
+    basis[0, 0] = 1.0
+    coeffs = [None] * len(amplitudes)
+    pending = {k: _ShiftedLeastSquares(e0) for k, e0 in enumerate(amplitudes)}
+    for j in range(ARNOLDI_MAX_STEPS):
+        if not pending:
+            break
+        solved[j] = inverse.solve(basis[j])
+        w = (a_1 @ solved[j]).reshape(dim, dim)
+        w = (0.5 * (w + w.conj().T)).ravel()
+        v = basis[: j + 1]
+        h = (v @ w.conj()).real
+        w -= h @ v
+        again = (v @ w.conj()).real
+        w -= again @ v
+        h += again
+        beta = float(np.linalg.norm(w))
+        column = h.tolist() + [beta]
+        for k in list(pending):
+            if pending[k].add(column):
+                coeffs[k] = pending.pop(k).y
+        if beta == 0.0:
+            break
+        basis[j + 1] = w / beta
+    return coeffs, solved
+
+
+def _frobenius_parts(l_0: sp.csr_matrix, l_1: sp.csr_matrix) -> tuple:
+    """||L_0||^2, 2 Re<L_0, L_1> and ||L_1||^2: ||L_0 + e0 L_1||_F^2 is
+    their polynomial in e0."""
+    cross = l_0.multiply(l_1.conj()).sum()
+    return spla.norm(l_0) ** 2, 2.0 * float(np.real(cross)), spla.norm(l_1) ** 2
 
 
 def _lgmres(a: sp.csr_matrix, b: np.ndarray, precond) -> tuple:
@@ -275,24 +511,22 @@ def _natural_ilu(a: sp.csr_matrix, drop_tol: float, fill_factor: float):
                       permc_spec="NATURAL")
 
 
-def _solve_trace_constrained(a: sp.csr_matrix, b: np.ndarray, dim: int, shared) -> np.ndarray:
-    """Solve the trace-constrained system, escalating through solvers.
+def _solve_point(l_0, l_1, e0: float, dim: int, scale: float, inverse) -> np.ndarray:
+    """The fallback for one amplitude: its own trace-constrained generator,
+    escalating through solvers.
 
-    The generator entries are pre-scaled to O(1), so an incomplete LU is an
-    excellent preconditioner.  Within one case the generators differ from
-    L_0 only in the drive term, so `shared`, the case's one natural-order
-    ILU of L_0 (None when that factorisation failed), is tried first.  If
-    LGMRES does not converge with it, this system is factored on its own
-    (ILU 1e-2, then ILU 1e-4) and, failing both, solved by a full sparse
-    LU.  Nothing is handed on to the next generator.
+    LGMRES preconditioned by the exact undriven inverse (when the case has
+    one), then by this system's own natural-order ILU (1e-2, then 1e-4),
+    then a full sparse LU.
     """
-    if dim <= DIRECT_SOLVE_MAX_DIM:
-        return spla.spsolve(a.tocsc(), b)
-    if shared is not None:
-        v, info = _lgmres(a, b, shared)
+    a = _trace_constrained(l_0 + e0 * l_1, dim, scale)
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    if inverse is not None:
+        v, info = _lgmres(a, b, inverse)
         if info == 0:
             return v
-    for drop_tol, fill_factor in ((1e-2, 5.0), (1e-4, 15.0)):
+    for drop_tol, fill_factor in _FALLBACK_ILU:
         try:
             factor = _natural_ilu(a, drop_tol, fill_factor)
         except RuntimeError:
@@ -306,15 +540,10 @@ def _solve_trace_constrained(a: sp.csr_matrix, b: np.ndarray, dim: int, shared) 
         raise NumericalError(f"all steady-state solvers failed: {exc}") from exc
 
 
-def _checked_steady_state(l_0, l_1, e0: float, dim: int, shared) -> np.ndarray:
-    """Steady state of the generator L_0 + e0 L_1, validated against it."""
-    l_op = l_0 + e0 * l_1
-    l_norm = spla.norm(l_op)
-    a = _trace_constrained(l_op, dim)
-    del l_op  # not held through the solve; L v is formed from the parts
-    b = np.zeros(dim * dim, dtype=complex)
-    b[0] = 1.0
-    v = _solve_trace_constrained(a, b, dim, shared)
+def _checked_state(v: np.ndarray, l_0, l_1, e0: float, dim: int, l_norm: float) -> np.ndarray:
+    """v as a density matrix once it passes the checks against its generator
+    L_0 + e0 L_1: ||L v|| <= RESIDUAL_TOL ||L||, then Hermitised and
+    trace-checked."""
     residual = float(np.linalg.norm(l_0 @ v + e0 * (l_1 @ v))) / max(l_norm, 1.0)
     if residual > RESIDUAL_TOL:
         raise NumericalError(
@@ -329,38 +558,47 @@ def _checked_steady_state(l_0, l_1, e0: float, dim: int, shared) -> np.ndarray:
     return rho
 
 
-def _undriven_factor(l_0: sp.csr_matrix, dim: int):
-    """The case's shared preconditioner: one natural-order ILU of the
-    trace-constrained L_0, or None when the system is solved directly or
-    the factorisation fails."""
-    if dim <= DIRECT_SOLVE_MAX_DIM:
-        return None
-    try:
-        return _natural_ilu(_trace_constrained(l_0, dim), SHARED_DROP_TOL, SHARED_FILL_FACTOR)
-    except RuntimeError:
-        return None
-
-
 def iter_steady_states(system: FullSystem):
     """Steady-state density matrix of the explicit model at each drive
     amplitude, yielded one (dim, dim) state at a time.
 
     The generator is L(e0) = L_0 + e0 L_1, with L_0 = liouvillian(h0,
-    collapse) and L_1 = liouvillian(h1) assembled once.  Each amplitude's
-    generator is formed and solved in turn, so one is held at a time: it
-    is scaled to O(1) entries, its first row replaced by the trace
-    constraint and the sparse system solved (directly for tiny
-    dimensions, otherwise by LGMRES preconditioned with one natural-order
-    ILU of L_0 per case, factored before the first amplitude).  Each
-    result is validated against its own generator: ||L vec(rho)|| <=
-    RESIDUAL_TOL * ||L||, Hermitised and trace-checked.
+    collapse) and L_1 = liouvillian(h1) assembled once.  Every amplitude
+    solves (A_0 + e0 A_1) x = e_0, where A_0 is L_0 / max|L_0| with its
+    first row replaced by the trace and A_1 is L_1 on the same scale with
+    its first row zeroed.  A_0 has an exact block inverse
+    (_SectorInverse), and one shifted Arnoldi run on A_1 A_0^-1 solves
+    every amplitude at once; each state is formed from the shared vectors
+    as it is yielded.  Each state is validated against its own generator
+    (||L vec(rho)|| <= RESIDUAL_TOL ||L||, with ||L||_F from the parts of
+    _frobenius_parts), Hermitised and trace-checked.  An amplitude that
+    does not converge or fails a check, and every amplitude of a system
+    without the excitation-number structure, is solved on its own by
+    _solve_point and checked again.
     """
     dim = system.cfg.dim
     l_0 = liouvillian(system.h0, system.collapse)
     l_1 = liouvillian(system.h1)
-    shared = _undriven_factor(l_0, dim)
-    for e0 in np.ravel(system.e0).tolist():
-        yield _checked_steady_state(l_0, l_1, e0, dim, shared)
+    scale = float(np.max(np.abs(l_0.data)))
+    n0, cross, n1 = _frobenius_parts(l_0, l_1)
+    amplitudes = np.ravel(system.e0).tolist()
+    inverse = _SectorInverse.of(system, scale)
+    coeffs, solved = [None] * len(amplitudes), None
+    if inverse is not None and amplitudes:
+        a_1 = l_1 * (1.0 / scale)
+        a_1.data[: a_1.indptr[1]] = 0.0
+        coeffs, solved = _shifted_arnoldi(inverse, a_1, amplitudes)
+    for e0, y in zip(amplitudes, coeffs):
+        l_norm = math.sqrt(max(n0 + e0 * (cross + e0 * n1), 0.0))
+        if y is not None:
+            try:
+                yield _checked_state(np.asarray(y) @ solved[: len(y)], l_0, l_1, e0, dim,
+                                     l_norm)
+                continue
+            except NumericalError:
+                pass
+        v = _solve_point(l_0, l_1, e0, dim, scale, inverse)
+        yield _checked_state(v, l_0, l_1, e0, dim, l_norm)
 
 
 def steady_state_full(system: FullSystem) -> np.ndarray:
@@ -421,9 +659,9 @@ def validate_against_effective(
     intensity_grid is in W/m^2.  Both models see identical physical inputs;
     the drive phase is applied to the bare dot-2 rate on both sides so the
     comparison is like for like.  The full model solves the grid as one
-    case: one assembly and one natural-order ILU of L_0 serve every intensity
-    (iter_steady_states), and each full state is reduced to the dots before
-    the next is solved.
+    case: one assembly, one exact inverse of the undriven generator and one
+    shifted Arnoldi run serve every intensity (iter_steady_states), and each
+    full state is reduced to the dots before the next is formed.
     """
     if omega is None:
         omega = mat.omega_0

@@ -167,8 +167,9 @@ class ArrayGeometry:
     """Collinear chain of n nanoparticles sandwiched by two quantum dots.
 
     r, r0 and s are the particle radius, dot radius and surface-to-surface
-    gap (m).  s_z is the dipole orientation factor; +2 corresponds to
-    longitudinal (head-to-tail) coupling along the chain axis.
+    gap (m).  s_z is the dipole orientation factor, within [-2, 2]; +2
+    corresponds to longitudinal (head-to-tail) coupling along the chain
+    axis.
     """
 
     r: float
@@ -184,6 +185,10 @@ class ArrayGeometry:
             )
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"particle count must be an integer >= 1, got {self.n}")
+        if not abs(self.s_z) <= 2.0:
+            raise DomainError(
+                f"dipole orientation factor s_z must satisfy |s_z| <= 2, got {self.s_z}"
+            )
 
     @property
     def d_qn(self) -> float:

@@ -332,12 +332,7 @@ def test_cli_reports_config_error(tmp_path, capsys):
     # a float product overflows to inf, which would reach the solver as NaN
     pytest.param("geometry.r_nm=1e102", id="geometry.r_nm=1e102"),
     pytest.param("metal.omega_p_ev=1e300", id="metal.omega_p_ev"),
-    pytest.param("geometry.s_z=1e300", id="geometry.s_z"),
     pytest.param("geometry.r0_nm=1e300", id="geometry.r0_nm"),
-    # finite couplings whose mediated rates (1e150) or their squares
-    # (1e100) overflow
-    pytest.param("geometry.s_z=1e150", id="geometry.s_z=1e150"),
-    pytest.param("geometry.s_z=1e100", id="geometry.s_z=1e100"),
 ])
 def test_cli_reports_overflowing_geometry_as_domain_error(override, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -348,6 +343,21 @@ def test_cli_reports_overflowing_geometry_as_domain_error(override, capsys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflow" in err
+
+
+@pytest.mark.parametrize("s_z", ["2.5", "-2.5", "1e20", "1e60", "1e72", "1e100", "1e150",
+                                 "1e300"], ids=lambda s_z: f"geometry.s_z={s_z}")
+def test_cli_rejects_out_of_range_s_z(s_z, capsys):
+    """|s_z| > 2 is no dipole orientation factor; it used to reach the solver
+    and exit 3 (singular system, trace off by 1e-2) or overflow."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["concurrence", "--set", "geometry.n=1,2",
+                     "--set", "drive.intensity_w_cm2=1,2", "--set", f"geometry.s_z={s_z}"])
+    assert code == EXIT_CONFIG
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "s_z" in err
 
 
 def test_cli_rejects_unreadable_config(tmp_path):

@@ -1,6 +1,9 @@
 """Explicit-mode (Fock space) simulation and its agreement with the
 effective model."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -85,32 +88,25 @@ def _reference_hamiltonian(geom, material, qd, drive, cfg):
 class _CountingSolvers:
     """Stands in for scipy.sparse.linalg inside fullmodel and counts calls.
 
-    fail_lgmres(solvers, k, m) decides whether the k-th LGMRES call (from
-    1), preconditioned by m, reports non-convergence (info = 1) instead of
-    running.  fail_spilu(k) decides whether the k-th spilu call raises
-    RuntimeError, as SuperLU does for an exactly singular factor.
+    fail_lgmres(k) decides whether the k-th LGMRES call (from 1) reports
+    non-convergence (info = 1) instead of running.  fail_spilu(k) decides
+    whether the k-th spilu call raises RuntimeError, as SuperLU does for an
+    exactly singular factor.
     """
 
-    def __init__(self, fail_lgmres=lambda solvers, k, m: False,
-                 fail_spilu=lambda k: False):
+    def __init__(self, fail_lgmres=lambda k: False, fail_spilu=lambda k: False):
         self.calls = {"spilu": 0, "lgmres": 0, "spsolve": 0}
-        self.factors = []
         self._fail_lgmres = fail_lgmres
         self._fail_spilu = fail_spilu
 
     def __getattr__(self, name):
         return getattr(spla, name)
 
-    def is_first_factor(self, m) -> bool:
-        probe = np.ones(m.shape[0], dtype=complex)
-        return np.array_equal(m.matvec(probe), self.factors[0].solve(probe))
-
     def spilu(self, *args, **kwargs):
         self.calls["spilu"] += 1
         if self._fail_spilu(self.calls["spilu"]):
             raise RuntimeError("Factor is exactly singular")
-        self.factors.append(spla.spilu(*args, **kwargs))
-        return self.factors[-1]
+        return spla.spilu(*args, **kwargs)
 
     def spsolve(self, *args, **kwargs):
         self.calls["spsolve"] += 1
@@ -118,9 +114,12 @@ class _CountingSolvers:
 
     def lgmres(self, a, b, **kwargs):
         self.calls["lgmres"] += 1
-        if self._fail_lgmres(self, self.calls["lgmres"], kwargs["M"]):
+        if self._fail_lgmres(self.calls["lgmres"]):
             return np.zeros_like(b), 1
         return spla.lgmres(a, b, **kwargs)
+
+
+NO_SOLVER_CALLS = {"spilu": 0, "lgmres": 0, "spsolve": 0}
 
 
 # --------------------------------------------------------------------------
@@ -199,25 +198,29 @@ def test_memory_budget_refusal(material, qd_resonant, geometry):
     assert "GiB" in str(err.value)
 
 
-def _csr_bytes(m) -> int:
-    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-
-
 @pytest.mark.parametrize("n, nlev", [(1, 4), (2, 4), (3, 3), (3, 4)])
 def test_memory_estimate_bounds_the_assembled_solve(material, qd_resonant, geometry,
                                                     n, nlev):
-    """The budget estimate covers L_0, L_1, one trace-constrained generator
-    and the shared factor as actually assembled."""
+    """The budget estimate for one held state covers the tracemalloc peak
+    of iter_steady_states over a case: assembly, the sector inverse, the
+    Arnoldi vectors and the checked states."""
     cfg = FockConfig(n=n, fock_levels=nlev)
     system = build_full_system(geometry(n), material, qd_resonant,
-                               _drive(material, qd_resonant, 80.0), cfg)
-    l_0 = liouvillian(system.h0, system.collapse)
-    l_1 = liouvillian(system.h1)
-    held = [l_0, l_1, fullmodel._trace_constrained(l_0 + float(system.e0) * l_1, cfg.dim)]
-    factor = fullmodel._undriven_factor(l_0, cfg.dim)
-    if factor is not None:
-        held += [factor.L, factor.U]
-    assert sum(map(_csr_bytes, held)) <= cfg.estimated_solve_bytes(states=0)
+                               _drive(material, qd_resonant, [0.5, 20.0, 80.0]), cfg)
+    tracemalloc.start()
+    try:
+        for _ in fullmodel.iter_steady_states(system):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.estimated_solve_bytes(states=1)
+
+
+def test_level_sizes_count_the_basis():
+    for n, nlev in [(1, 2), (2, 4), (3, 3)]:
+        levels = np.indices(FockConfig(n=n, fock_levels=nlev).dims).sum(0).ravel()
+        assert fullmodel._level_sizes(n, nlev).tolist() == np.bincount(levels).tolist()
 
 
 def test_config_geometry_mismatch(material, qd_resonant, geometry):
@@ -364,8 +367,8 @@ def test_truncation_convergence_single_particle(material, geometry):
 
 
 # --------------------------------------------------------------------------
-# one case: L(e0) = L_0 + e0 L_1, one natural-order ILU of L_0 shared by
-# its intensities
+# one case: L(e0) = L_0 + e0 L_1, the exact inverse of the undriven
+# generator and one shifted Arnoldi run for all its intensities
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n, nlev", [(1, 3), (2, 3), (3, 2)])
@@ -395,6 +398,48 @@ def _detuned_pair(material):
     return QdParams.at_resonance(material, R_QD, GAMMA_I, -10.0 * GAMMA_I, -10.0 * GAMMA_I)
 
 
+def _scale(l_0) -> float:
+    return float(np.max(np.abs(l_0.data)))
+
+
+@pytest.mark.parametrize("n, nlev", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_sector_inverse_reproduces_v(material, geometry, n, nlev):
+    """A_0 z = v for a random complex v (Hermitian and anti-Hermitian parts
+    both present) and for its Hermitian part, to a normwise backward error
+    ||A_0 z - v|| / (||A_0|| ||z|| + ||v||) within 1e-13.  A random v
+    excites the slowest decays, so ||z|| reaches ~1e7 ||v|| and even a
+    dense LU leaves ||A_0 z - v|| ~ 1e-10 ||v|| at (1, 4)."""
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=n, fock_levels=nlev)
+    system = build_full_system(geometry(n), material, qd, _drive(material, qd, 1.5), cfg)
+    l_0 = liouvillian(system.h0, system.collapse)
+    inverse = fullmodel._SectorInverse.of(system, _scale(l_0))
+    a_0 = fullmodel._trace_constrained(l_0, cfg.dim, _scale(l_0))
+    rng = np.random.default_rng(n * 10 + nlev)
+    v = rng.standard_normal(cfg.dim**2) + 1j * rng.standard_normal(cfg.dim**2)
+    m = v.reshape(cfg.dim, cfg.dim)
+    for rhs in (v, (m + m.conj().T).ravel()):
+        z = inverse.solve(rhs)
+        scale = spla.norm(a_0) * np.linalg.norm(z) + np.linalg.norm(rhs)
+        assert np.linalg.norm(a_0 @ z - rhs) <= 1e-13 * scale
+        if cfg.dim**2 <= 1296:
+            ref = np.linalg.solve(a_0.toarray(), rhs)
+            assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_frobenius_parts_give_the_generator_norm(material, geometry):
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=2, fock_levels=3)
+    drive = _drive(material, qd, [0.0, 0.5, 3.0, 80.0])
+    system = build_full_system(geometry(2), material, qd, drive, cfg)
+    l_0 = liouvillian(system.h0, system.collapse)
+    l_1 = liouvillian(system.h1)
+    n0, cross, n1 = fullmodel._frobenius_parts(l_0, l_1)
+    for e0 in system.e0:
+        ref = spla.norm(l_0 + e0 * l_1)
+        assert abs(np.sqrt(n0 + e0 * (cross + e0 * n1)) - ref) <= 1e-12 * ref
+
+
 def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
     system = build_full_system(geometry(cfg.n), material, qd,
                                _drive(material, qd, intensity_w_cm2), cfg)
@@ -402,8 +447,9 @@ def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
 
 
 def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypatch):
-    """One case over four intensities: one factorisation, and the same
-    concurrence as a separate solve (own assembly, own factor) per point."""
+    """One case over four intensities: no sparse solver call at all, and
+    the same concurrence as a separate solve (own assembly, own run) per
+    point."""
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=4)
     intensities = (0.0, 0.5, 1.5, 3.0)
@@ -412,7 +458,7 @@ def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypat
     table = validate_against_effective(
         geometry(2), material, qd, cfg, [i * W_CM2_TO_W_M2 for i in intensities]
     )
-    assert solvers.calls == {"spilu": 1, "lgmres": 4, "spsolve": 0}
+    assert solvers.calls == NO_SOLVER_CALLS
     for intensity, row in zip(intensities, table.rows):
         fresh = _fresh_c_full(material, geometry, qd, cfg, intensity)
         assert abs(row.c_full - fresh) <= 1e-10
@@ -435,56 +481,99 @@ def _assert_solves_case(system, states, clean, cfg):
 def _three_point_case(material, geometry, intensities=(0.5, 1.5, 3.0)):
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=3)
-    assert cfg.dim > fullmodel.DIRECT_SOLVE_MAX_DIM
     system = build_full_system(geometry(2), material, qd,
                                _drive(material, qd, intensities), cfg)
     return system, cfg
 
 
+@pytest.mark.parametrize("constant, value", [
+    # the run stops before any intensity converges
+    ("ARNOLDI_MAX_STEPS", 2),
+    # every intensity stops at the first step, and its state then fails
+    # the residual check
+    ("ARNOLDI_RTOL", 1.0),
+], ids=["max-steps-2", "loose-arnoldi-tolerance"])
+def test_unsolved_amplitudes_fall_back_per_point(material, geometry, monkeypatch,
+                                                 constant, value):
+    """Each point the Arnoldi run leaves unsolved or wrong is solved on its
+    own: one LGMRES call preconditioned by the exact inverse."""
+    system, cfg = _three_point_case(material, geometry)
+    clean = steady_state_full(system)
+    solvers = _CountingSolvers()
+    monkeypatch.setattr(fullmodel, "spla", solvers)
+    monkeypatch.setattr(fullmodel, constant, value)
+    states = steady_state_full(system)
+    assert solvers.calls == {"spilu": 0, "lgmres": 3, "spsolve": 0}
+    _assert_solves_case(system, states, clean, cfg)
+
+
 @pytest.mark.parametrize("fail, expected", [
-    # the case's first factor, the shared one of L_0, fails from the second
-    # point on: each of those points gets its own ILU, and no point hands
-    # its factor on
-    (lambda solvers, k, m: k > 1 and solvers.is_first_factor(m),
-     {"spilu": 3, "lgmres": 5, "spsolve": 0}),
-    # LGMRES never converges: the L_0 factor, then every point runs the
-    # whole chain (its own ILU 1e-2 and 1e-4, then a sparse LU)
-    (lambda solvers, k, m: True, {"spilu": 7, "lgmres": 9, "spsolve": 3}),
+    # LGMRES with the case's exact inverse fails from the second point on:
+    # each of those points gets its own ILU, and no point hands its factor on
+    (lambda k: k > 1 and k % 2 == 0, {"spilu": 2, "lgmres": 5, "spsolve": 0}),
+    # LGMRES never converges: every point runs the whole chain (the exact
+    # inverse, its own ILU 1e-2 and 1e-4, then a sparse LU)
+    (lambda k: True, {"spilu": 6, "lgmres": 9, "spsolve": 3}),
 ], ids=["first-factor-goes-stale", "lgmres-never-converges"])
 def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, expected):
     system, cfg = _three_point_case(material, geometry)
     clean = steady_state_full(system)
     solvers = _CountingSolvers(fail)
     monkeypatch.setattr(fullmodel, "spla", solvers)
+    monkeypatch.setattr(fullmodel, "ARNOLDI_MAX_STEPS", 2)
     states = steady_state_full(system)
     assert solvers.calls == expected
     _assert_solves_case(system, states, clean, cfg)
 
 
 def test_singular_undriven_factor_falls_back_per_point(material, geometry, monkeypatch):
-    """spilu of L_0 raising leaves every point to its own escalation chain."""
+    """Without the exact inverse every point runs its own chain from its
+    own ILU, and a singular ILU 1e-2 moves on to ILU 1e-4."""
     system, cfg = _three_point_case(material, geometry)
     clean = steady_state_full(system)
     solvers = _CountingSolvers(fail_spilu=lambda k: k == 1)
     monkeypatch.setattr(fullmodel, "spla", solvers)
+    monkeypatch.setattr(fullmodel._SectorInverse, "of", classmethod(lambda cls, *args: None))
     states = steady_state_full(system)
     assert solvers.calls == {"spilu": 4, "lgmres": 3, "spsolve": 0}
     _assert_solves_case(system, states, clean, cfg)
 
 
-def test_factor_does_not_depend_on_intensity_order(material, geometry, monkeypatch):
-    """The grid solved forwards and reversed: one spilu call each, and the
-    same states within 1e-10."""
-    intensities = (0.0, 0.5, 1.5, 3.0, 80.0)
-    forward, cfg = _three_point_case(material, geometry, intensities)
-    reverse, _ = _three_point_case(material, geometry, intensities[::-1])
-    runs = []
-    for system in (forward, reverse):
-        solvers = _CountingSolvers()
-        monkeypatch.setattr(fullmodel, "spla", solvers)
-        runs.append(steady_state_full(system))
-        assert solvers.calls == {"spilu": 1, "lgmres": len(intensities), "spsolve": 0}
-    assert np.max(np.abs(runs[0] - runs[1][::-1])) <= 1e-10
+def test_counter_rotating_term_falls_back_per_point(material, geometry, monkeypatch):
+    """A counter-rotating exchange g (s_1^+ a^+ + s_1 a) breaks the
+    excitation-number structure: the case has no exact inverse, and each
+    point is solved by its own chain and passes its checks."""
+    system, cfg = _three_point_case(material, geometry)
+    lower = np.array([[0, 1], [0, 0]], dtype=complex)
+    annihilate = np.diag(np.sqrt(np.arange(1, cfg.fock_levels)), k=1).astype(complex)
+    s1 = _site_operator(lower, 0, cfg.dims)
+    a_1 = _site_operator(annihilate, 2, cfg.dims)
+    g = bare_couplings(geometry(2), _detuned_pair(material), material).g
+    system.h0 = (system.h0 + 0.1 * g * (s1.getH() @ a_1.getH() + s1 @ a_1)).tocsr()
+    l_0 = liouvillian(system.h0, system.collapse)
+    assert fullmodel._SectorInverse.of(system, _scale(l_0)) is None
+    solvers = _CountingSolvers()
+    monkeypatch.setattr(fullmodel, "spla", solvers)
+    states = steady_state_full(system)
+    assert solvers.calls["spilu"] >= 3 and solvers.calls["lgmres"] >= 3
+    l_1 = liouvillian(system.h1)
+    for e0, rho in zip(system.e0, states):
+        l_op = l_0 + e0 * l_1
+        assert np.linalg.norm(l_op @ rho.ravel()) <= 1e-8 * spla.norm(l_op)
+        assert abs(np.trace(rho).real - 1.0) <= 1e-10
+
+
+def test_state_does_not_depend_on_the_intensity_grid(material, geometry):
+    """Within one case (the same h0, h1 and collapse channels), each
+    amplitude's state is bit-identical whether it is solved alone, in the
+    grid or in the reversed grid."""
+    system, _ = _three_point_case(material, geometry, (0.0, 0.5, 1.5, 3.0, 80.0))
+    grid = steady_state_full(system)
+    reverse = steady_state_full(dataclasses.replace(system, e0=system.e0[::-1]))
+    assert np.array_equal(grid, reverse[::-1])
+    for k, rho in enumerate(grid):
+        alone = dataclasses.replace(system, e0=system.e0[k:k + 1])
+        assert np.array_equal(steady_state_full(alone)[0], rho)
 
 
 def test_validator_budget_counts_one_held_state(material, geometry):

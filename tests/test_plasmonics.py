@@ -175,6 +175,14 @@ def test_coupling_sign_follows_orientation_factor(material, qd_resonant):
     assert bc.kappa < 0
 
 
+@pytest.mark.parametrize("s_z", [2.0000001, -2.5, 1e20, float("inf"), float("nan")])
+def test_orientation_factor_outside_its_range_is_rejected(s_z):
+    with pytest.raises(DomainError, match="s_z"):
+        ArrayGeometry(r=R_MNP, r0=R_QD, s=30 * NM, n=2, s_z=s_z)
+    for inside in (-2.0, 0.0, 2.0):
+        assert ArrayGeometry(r=R_MNP, r0=R_QD, s=30 * NM, n=2, s_z=inside).s_z == inside
+
+
 def test_drive_golden_values(material, qd_resonant):
     drv = drive_rates(80 * W_CM2_TO_W_M2, material, qd_resonant, material.omega_0)
     assert rel(drv.e0, GOLD["e0_at_80"]) < 1e-9
