@@ -2,28 +2,28 @@
 
 Each nanoparticle is a truncated harmonic oscillator with N levels, so the
 Hilbert space is qubit_1 (x) qubit_2 (x) mode_1 (x) ... (x) mode_n with
-dimension 4 N^n.  The Lindblad generator is vectorized row-major
-(vec(A rho B) = (A kron B^T) vec(rho)) into a sparse dim^2 x dim^2
-superoperator, one row is replaced by the trace constraint and the steady
-state is the solution of that linear system.  Reduction to the two dots
-is a partial trace over all modes.
+dimension 4 N^n.  The steady state rho solves L rho = 0 with tr rho = 1,
+and reduction to the two dots is a partial trace over all modes.
 
 Every drive rate is proportional to the field amplitude e0, so at fixed
 geometry, dots, truncation and frequency the generator is
 L(e0) = L_0 + e0 L_1: L_0 holds the detunings, hopping, dot-mode exchange
-and dissipators, L_1 the commutator with the unit-amplitude drive.  One
-validation case assembles both once and solves all its intensities in two
-stages.  First, the undriven generator has an exact and cheap inverse:
-h0 and every c^+ c conserve the total excitation number and each collapse
-operator lowers it by one, so in a basis sorted by that number the
+and dissipators, L_1 the commutator with the unit-amplitude drive.  Both
+are applied to dim x dim matrices (_Generator), never assembled as
+dim^2 x dim^2 superoperators: L_0(rho) = A rho + rho A^+ + sum gamma c rho
+c^+ with A = -i h0 - 1/2 sum gamma c^+ c, and L_1(rho) = -i [h1, rho].
+Vectors are dim x dim matrices read row-major, so the trace constraint
+replaces the (0, 0) entry.  One validation case solves all its intensities
+in two stages.  First, the undriven generator has an exact and cheap
+inverse: h0 and every c^+ c conserve the total excitation number and each
+collapse operator lowers it by one, so in a basis sorted by that number the
 trace-constrained L_0 is block triangular, with one small Sylvester
 equation per pair of excitation levels (_SectorInverse).  Second, the
 shifted systems L_0 + e0 L_1 share one Krylov space of L_1 L_0^-1, so one
 Arnoldi run of ~10-20 steps solves every intensity of the case at once
 (Frommer & Glaessner, SIAM J. Sci. Comput. 19, 1998).  A point that does
-not converge there, or fails a check, is solved on its own by LGMRES
-preconditioned with the exact inverse, then with its own natural-order ILU
-(after Nation, arXiv:1504.06768), then by a full sparse LU.
+not converge there, or fails a check, is solved on its own by LGMRES on
+the matrix-free generator, preconditioned with the exact inverse.
 
 This path scales exponentially in n and exists to validate the effective
 model on small chains; construction refuses up front when the estimated
@@ -41,6 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import ztrsyl
 
+from .constants import HBAR
 from .effective import complex_pole, mediated_params
 from .exceptions import DomainError, MemoryBudgetError, NumericalError
 from .plasmonics import (
@@ -57,9 +58,7 @@ __all__ = [
     "FockConfig",
     "FullSystem",
     "build_full_system",
-    "liouvillian",
     "iter_steady_states",
-    "steady_state_full",
     "reduce_to_qubits",
     "ValidationRow",
     "ValidationTable",
@@ -82,11 +81,9 @@ _BYTES_PER_VALUE = 16  # complex128
 _LGMRES_INNER_M = 30
 _LGMRES_OUTER_K = 3
 _LGMRES_VECTORS = 2 * (_LGMRES_INNER_M + _LGMRES_OUTER_K) + 1 + 2 * _LGMRES_OUTER_K
-# the fallback's ILU stages as (drop tolerance, fill factor)
-_FALLBACK_ILU = ((1e-2, 5.0), (1e-4, 15.0))
-# dim^2-sized temporaries of one inverse application, one residual check
-# and one Hermitisation
-_WORK_VECTORS = 8
+# dim x dim temporaries of one inverse application, one application of
+# L_0 + e0 L_1 (residual check or LGMRES product) and one Hermitisation
+_WORK_VECTORS = 10
 
 
 def _level_sizes(n: int, fock_levels: int) -> np.ndarray:
@@ -126,34 +123,28 @@ class FockConfig:
         """An upper bound on what the explicit-mode solve holds at once
         while it keeps `states` solved dim x dim states.
 
-        Per superoperator row the Hamiltonian has at most 2n + 1 entries
-        (diagonal, n - 1 hopping pairs, one exchange term per dot), so its
-        commutator has at most 4n + 1; the n + 2 collapse channels add one
-        off-diagonal entry each, giving 5n + 3 for L_0.  The drive puts
-        2n + 2 entries in a Hamiltonian row, 4n + 4 in L_1.  Held together:
-        L_0 and L_1; the dense blocks of the sector inverse (per excitation
-        level of size d_k the Schur form, its basis and their adjoints and
-        a dense block of A; per level pair and channel the jump block in
-        three layouts); the 2 ARNOLDI_MAX_STEPS + 1 Arnoldi vectors; the
-        working vectors of the inverse, the residual check and the
-        Hermitisation (with the n + 3 dense dim x dim operators the inverse
-        is built from); and the held states: one for iter_steady_states,
-        whose caller reduces each state before the next is solved, and one
-        per drive amplitude for the stack of steady_state_full.  On top of
-        that, a point that escalates holds its trace-constrained generator
-        (9n + 7 per row plus the dim-entry trace row), an ILU of it at the
-        first stage's fill factor and the LGMRES basis; the later ILU
-        1e-4 and sparse-LU stages are not bounded here.
+        The generator is applied to dim x dim matrices, so the solve holds
+        dim x dim arrays and a few sparse dim x dim operators.  The sparse
+        ones: the n + 2 lowering operators (one entry per row each), h0 and
+        A (at most 2n + 3 per row each: the diagonal, two per hopping pair
+        and two per dot), h1 and D = -i h1 (two per site each).  The dense ones: the blocks
+        of the sector inverse (per excitation level of size d_k the Schur
+        form, its basis and their adjoints and a dense block of A; per
+        level pair and channel the jump block in three layouts, and the
+        n + 3 dense operators they are cut from); the 2 ARNOLDI_MAX_STEPS
+        + 1 Arnoldi vectors; the LGMRES basis of a point that falls back;
+        the working matrices of the inverse, of one application of the
+        generator and of the Hermitisation; and the held states: one for
+        iter_steady_states, whose caller reduces each state before the next
+        is solved.
         """
         rows = self.dim**2
         sizes = _level_sizes(self.n, self.fock_levels)
         channels = self.n + 2
-        nnz_point = (9 * self.n + 7) * rows + self.dim
-        nnz = ((5 * self.n + 3) * rows + self.dim + (4 * self.n + 4) * rows
-               + (1 + _FALLBACK_ILU[0][1]) * nnz_point)
+        nnz = (9 * self.n + 16) * self.dim
         blocks = (4 * int(np.sum(sizes**2))
                   + 3 * channels * int(np.sum(sizes[:-1] * sizes[1:]))
-                  + (channels + 1) * self.dim**2)
+                  + (channels + 1) * rows)
         vectors = (2 * ARNOLDI_MAX_STEPS + 1 + _WORK_VECTORS + _LGMRES_VECTORS
                    + states)
         return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * (blocks + vectors * rows))
@@ -176,33 +167,31 @@ class FullSystem:
     hopping and the dot-mode exchange; h1 is the drive at unit field
     amplitude (1 V/m), since every drive rate is proportional to e0.  e0
     is the drive's field amplitude (V/m): a scalar, or one per intensity.
+    Each collapse channel is sqrt(rate) times the lowering operator of one
+    site of cfg.dims (_lowering).
     """
 
     cfg: FockConfig
     h0: sp.csr_matrix
     h1: sp.csr_matrix
     e0: np.ndarray
-    collapse: list  # (rate, operator) pairs
+    collapse: list  # (rate, site) pairs
 
 
-def _site_operator(op: np.ndarray, site: int, dims: tuple) -> sp.csr_matrix:
-    """Embed a single-site operator at `site` in the ordered product space."""
-    out = sp.identity(1, format="csr", dtype=complex)
-    for k, d in enumerate(dims):
-        block = sp.csr_matrix(op) if k == site else sp.identity(d, format="csr", dtype=complex)
-        out = sp.kron(out, block, format="csr")
-    return out
+def _occupation(dims: tuple, site: int) -> np.ndarray:
+    """The occupation number of `site` in each state of the ordered
+    product basis."""
+    return np.arange(math.prod(dims)) // math.prod(dims[site + 1:]) % dims[site]
 
 
-def _unit_amplitude_rates(drive: DriveField) -> tuple:
-    """lambda_1, lambda_2 and omega_m at e0 = 1 V/m, read off the drive's
-    strongest entry (all zero when nothing is driven)."""
-    e0 = np.ravel(drive.e0)
-    if not np.any(e0 > 0):
-        return 0j, 0j, 0j
-    k = int(np.argmax(e0))
-    return tuple(complex(np.ravel(rate)[k]) / e0[k]
-                 for rate in (drive.lambda_1, drive.lambda_2, drive.omega_m))
+def _lowering(dims: tuple, site: int) -> sp.csr_matrix:
+    """The lowering operator of `site` in the ordered product space,
+    c |.., m, ..> = sqrt(m) |.., m - 1, ..>: one band at the site's stride."""
+    occupation = _occupation(dims, site)
+    cols = np.flatnonzero(occupation)
+    return sp.csr_matrix((np.sqrt(occupation[cols]).astype(complex),
+                          (cols - math.prod(dims[site + 1:]), cols)),
+                         shape=(occupation.size,) * 2)
 
 
 def build_full_system(
@@ -219,76 +208,122 @@ def build_full_system(
     dot-mode exchange -g(s_i^+ a_m + h.c.).  Collapse channels are
     sqrt(gamma_i) s_i and sqrt(gamma_0) a_m.  The inter-laser phase
     e^{i phi} is carried by the dot-2 drive only.  The drive may hold one
-    intensity or several at a single frequency.  The budget check here
-    counts one held state (iter_steady_states); steady_state_full checks
-    its stack again.
+    intensity or several at a single frequency; h1 takes its rates at
+    e0 = 1 V/m from the dipoles, as drive_rates does, so it does not depend
+    on the intensities.  The budget check counts one held state
+    (iter_steady_states).
     """
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
     cfg.check_budget(1)
-    dims = cfg.dims
-    nlev = cfg.fock_levels
-
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    annihilate = np.diag(np.sqrt(np.arange(1, nlev)), k=1).astype(complex)
-
-    s1 = _site_operator(lower, 0, dims)
-    s2 = _site_operator(lower, 1, dims)
-    modes = [_site_operator(annihilate, 2 + m, dims) for m in range(cfg.n)]
+    sites = range(cfg.n + 2)
+    lower = [_lowering(cfg.dims, site) for site in sites]
 
     couplings = bare_couplings(geom, qd, mat)
     pole = complex_pole(mat, qd, drive.omega)
 
-    h0 = pole.detuning_1 * (s1.getH() @ s1) + pole.detuning_2 * (s2.getH() @ s2)
-    for a_m in modes:
-        h0 = h0 + pole.detuning_0 * (a_m.getH() @ a_m)
-    for m in range(cfg.n - 1):
-        h0 = h0 - couplings.kappa * (
-            modes[m].getH() @ modes[m + 1] + modes[m] @ modes[m + 1].getH()
-        )
-    h0 = h0 - couplings.g * (s1.getH() @ modes[0] + s1 @ modes[0].getH())
-    h0 = h0 - couplings.g * (s2.getH() @ modes[-1] + s2 @ modes[-1].getH())
+    detuning = [pole.detuning_1, pole.detuning_2] + [pole.detuning_0] * cfg.n
+    h0 = sp.diags(sum(d * _occupation(cfg.dims, site) for d, site in zip(detuning, sites)))
+    # (rate, k, l): -rate (c_k^+ c_l + h.c.) between neighbouring modes and
+    # between each dot and its end mode
+    exchange = [(couplings.kappa, 2 + m, 3 + m) for m in range(cfg.n - 1)]
+    exchange += [(couplings.g, 0, 2), (couplings.g, 1, cfg.n + 1)]
+    for rate, k, l in exchange:
+        hop = lower[k].getH() @ lower[l]
+        h0 = h0 - rate * (hop + hop.getH())
 
-    lambda_1, lambda_2, omega_m = _unit_amplitude_rates(drive)
-    h1 = -(lambda_1 * s1.getH() + np.conj(lambda_1) * s1)
-    h1 = h1 - (lambda_2 * s2.getH() + np.conj(lambda_2) * s2)
-    for a_m in modes:
-        h1 = h1 - (omega_m * a_m.getH() + np.conj(omega_m) * a_m)
+    lambda_1 = qd.mu_qd / HBAR
+    rates = [lambda_1, lambda_1 * complex(math.cos(drive.phi), math.sin(drive.phi))]
+    rates += [mat.mu_mnp / HBAR] * cfg.n
+    h1 = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
+    for rate, c in zip(rates, lower):
+        h1 = h1 - (rate * c.getH() + np.conj(rate) * c)
 
-    collapse = [(qd.gamma_i, s1), (qd.gamma_i, s2)]
-    collapse += [(mat.gamma_0, a_m) for a_m in modes]
+    collapse = [(qd.gamma_i, 0), (qd.gamma_i, 1)]
+    collapse += [(mat.gamma_0, 2 + m) for m in range(cfg.n)]
     return FullSystem(cfg=cfg, h0=h0.tocsr(), h1=h1.tocsr(), e0=drive.e0,
                       collapse=collapse)
 
 
-def liouvillian(h: sp.spmatrix, collapse=()) -> sp.csr_matrix:
-    """Vectorized Lindblad generator -i[h, .] + sum D[c] (row-major vec).
+def _by_parts(op, x: np.ndarray) -> np.ndarray:
+    """op(X) for a linear map op that takes Hermitian matrices to Hermitian
+    ones and is applied to them alone: op(H) + i op(K) with X = H + i K."""
+    h = 0.5 * (x + x.conj().T)
+    k = 0.5j * (x.conj().T - x)
+    out = op(h)
+    return out + 1j * op(k) if np.any(k) else out
 
-    collapse holds (rate, operator) pairs; without any this is the bare
-    commutator with h.
+
+class _Generator:
+    """L(e0) = L_0 + e0 L_1 of one case, applied to Hermitian dim x dim
+    matrices H (others go through _by_parts).
+
+    L_0(H) = A H + H A^+ + sum gamma c H c^+ with A = -i h0 - 1/2 sum gamma
+    c^+ c, and L_1(H) = -i [h1, H] = D H + H D^+ with D = -i h1; H B^+ is
+    (B H)^+, so each term costs one sparse product.  A lowering operator
+    of stride s makes c H c^+ a weighted view of H: with H as
+    (before, d, after) x (before, d, after), its entry at occupations
+    (m, m') is sqrt((m + 1)(m' + 1)) H at (m + 1, m' + 1).  Every result
+    is exactly Hermitian.  `scale` is the per-case constant of the
+    trace-constrained systems: the largest diagonal entry of L_0 in
+    modulus, |A_ii + conj(A_jj)|.
     """
-    dim = h.shape[0]
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    l_op = -1j * (sp.kron(h, ident, format="csr") - sp.kron(ident, h.T, format="csr"))
-    for rate, c_op in collapse:
-        cdc = (c_op.getH() @ c_op).tocsr()
-        l_op = l_op + 0.5 * rate * (
-            2.0 * sp.kron(c_op, c_op.conj(), format="csr")
-            - sp.kron(cdc, ident, format="csr")
-            - sp.kron(ident, cdc.T, format="csr")
-        )
-    return l_op.tocsr()
 
+    def __init__(self, system: FullSystem):
+        dims = system.cfg.dims
+        self.dims = dims
+        self.dim = system.cfg.dim
+        self.collapse = system.collapse
+        decay = sum(rate * _occupation(dims, site) for rate, site in system.collapse)
+        self.a = (-1j * system.h0 - sp.diags(0.5 * decay)).tocsr()
+        self.d = (-1j * system.h1).tocsr()
+        self.jumps = []
+        for rate, site in system.collapse:
+            root = np.sqrt(np.arange(1, dims[site]))
+            shape = (math.prod(dims[:site]), dims[site], math.prod(dims[site + 1:])) * 2
+            self.jumps.append((shape, rate * np.outer(root, root)[:, None, None, :, None]))
+        diag = self.a.diagonal()
+        self.scale = float(np.max(np.abs(diag[:, None] + diag.conj())))
+        self._norm_parts = self._frobenius_parts()
 
-def _trace_constrained(l_op: sp.csr_matrix, dim: int, scale: float) -> sp.csr_matrix:
-    """l_op divided by `scale`, its first row replaced by the trace."""
-    start = l_op.indptr[1]
-    data = np.empty(l_op.nnz - start + dim, dtype=complex)
-    data[:dim] = 1.0
-    np.multiply(l_op.data[start:], 1.0 / scale, out=data[dim:])
-    indices = np.concatenate([np.arange(dim) * (dim + 1), l_op.indices[start:]])
-    indptr = np.concatenate([[0], l_op.indptr[1:] - start + dim])
-    return sp.csr_matrix((data, indices, indptr), shape=l_op.shape)
+    def apply(self, h: np.ndarray, e0: float) -> np.ndarray:
+        """L_0(H) + e0 L_1(H)."""
+        y = self.a @ h + e0 * (self.d @ h)
+        out = y + y.conj().T
+        for shape, weight in self.jumps:
+            out.reshape(shape)[:, :-1, :, :, :-1] += weight * h.reshape(shape)[:, 1:, :, :, 1:]
+        return out
+
+    def drive(self, h: np.ndarray) -> np.ndarray:
+        """L_1(H)."""
+        y = self.d @ h
+        return y + y.conj().T
+
+    def _frobenius_parts(self) -> tuple:
+        """||L_0||^2, 2 Re<L_0, L_1> and ||L_1||^2 (Frobenius), from traces.
+
+        Row-major, L(e0) = B (x) I + I (x) conj(B) + sum gamma c (x) conj(c)
+        with B = A + e0 D, D = -i h1, and <X (x) Y, P (x) Q> =
+        tr(X^+ P) tr(Y^+ Q).  A lowering operator has zero trace and two on
+        different sites are trace-orthogonal, so every jump term is
+        orthogonal to the others and to the B terms:
+        ||L||^2 = 2 dim ||B||^2 + 2 Re tr(B)^2 + sum gamma^2 ||c||^4.
+        """
+        a, d, dim = self.a, self.d, self.dim
+        tr_a, tr_d = a.diagonal().sum(), d.diagonal().sum()
+        a_a = a.multiply(a.conj()).sum().real
+        a_d = a.conj().multiply(d).sum().real
+        d_d = d.multiply(d.conj()).sum().real
+        jumps = sum((rate * _occupation(self.dims, site).sum()) ** 2
+                    for rate, site in self.collapse)
+        return (2 * dim * a_a + 2 * (tr_a * tr_a).real + jumps,
+                4 * dim * a_d + 4 * (tr_a * tr_d).real,
+                2 * dim * d_d + 2 * (tr_d * tr_d).real)
+
+    def norm(self, e0: float) -> float:
+        """||L_0 + e0 L_1||_F."""
+        n0, cross, n1 = self._norm_parts
+        return math.sqrt(max(n0 + e0 * (cross + e0 * n1), 0.0))
 
 
 class _SectorInverse:
@@ -306,8 +341,8 @@ class _SectorInverse:
     (k+1, l+1) block.  The (0, 0) entry, whose Sylvester block is exactly
     0, comes from the trace row.  A_0 maps Hermitian matrices to Hermitian
     ones, so a Hermitian v needs only the blocks with k >= l; any other v
-    is solved as its Hermitian and anti-Hermitian parts.  `solve` is also
-    the preconditioner interface of _lgmres.
+    is solved as its Hermitian and anti-Hermitian parts (_by_parts).
+    `solve` is also the preconditioner of _solve_point.
     """
 
     def __init__(self, order, level, schur_t, schur_q, jumps, scale):
@@ -327,26 +362,19 @@ class _SectorInverse:
         self._scale = scale
 
     @classmethod
-    def of(cls, system: FullSystem, scale: float):
-        """The inverse for `system`'s undriven generator, or None when h0 or
-        a collapse operator breaks the excitation-number structure or a
-        level above the ground state has an undamped mode."""
-        levels = np.indices(system.cfg.dims).sum(0).ravel()
+    def of(cls, generator: _Generator):
+        """The inverse of `generator`'s trace-constrained L_0, or None when
+        h0 breaks the excitation-number structure or a level above the
+        ground state has an undamped mode."""
+        levels = np.indices(generator.dims).sum(0).ravel()
         order = np.argsort(levels, kind="stable")
         level = levels[order]
         basis = np.ix_(order, order)
-
-        def dense(op, shift):
-            """op in the sorted basis, or None unless every entry maps
-            level k + shift to level k."""
-            op = op.toarray()[basis]
-            return None if np.any(op[level[:, None] + shift != level]) else op
-
-        a_op = dense(-1j * system.h0 - 0.5 * sum(rate * (c.getH() @ c)
-                                                 for rate, c in system.collapse), 0)
-        channels = [dense(np.sqrt(rate) * c, 1) for rate, c in system.collapse]
-        if a_op is None or any(c is None for c in channels):
+        a_op = generator.a.toarray()[basis]
+        if np.any(a_op[level[:, None] != level]):
             return None
+        channels = [np.sqrt(rate) * _lowering(generator.dims, site).toarray()[basis]
+                    for rate, site in generator.collapse]
         bounds = np.searchsorted(level, np.arange(level[-1] + 2))
         schur_t, schur_q = [], []
         for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -359,16 +387,12 @@ class _SectorInverse:
                   for c in channels]
                  for k, (lo, mid, hi) in enumerate(zip(bounds[:-2], bounds[1:-1],
                                                        bounds[2:]))]
-        return cls(order, level, schur_t, schur_q, jumps, scale)
+        return cls(order, level, schur_t, schur_q, jumps, generator.scale)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """z with A_0 z = v."""
         x = np.asarray(v, dtype=complex).reshape(self._dim, self._dim)
-        z = self._solve_hermitian(0.5 * (x + x.conj().T))
-        anti = 0.5j * (x.conj().T - x)
-        if np.any(anti):
-            z = z + 1j * self._solve_hermitian(anti)
-        return z.ravel()
+        return _by_parts(self._solve_hermitian, x).ravel()
 
     def _solve_hermitian(self, v: np.ndarray) -> np.ndarray:
         """Z with A_0 vec(Z) = vec(V) for a Hermitian dim x dim V."""
@@ -442,26 +466,25 @@ class _ShiftedLeastSquares:
         return True
 
 
-def _shifted_arnoldi(inverse: _SectorInverse, a_1: sp.csr_matrix, amplitudes: list):
+def _shifted_arnoldi(generator: _Generator, inverse: _SectorInverse, amplitudes: list):
     """Coefficients y (or None) per amplitude and the vectors Z with
-    (A_0 + e0 A_1) (Z y) = e_0.
+    (A_0 + e0 A_1) (Z y) = e_0, where A_1 Z is L_1(Z) / scale with its
+    (0, 0) entry zeroed (the trace row).
 
     Since the shifted systems share the Krylov space of A_1 A_0^-1 from
     e_0, one Arnoldi run serves every amplitude (Frommer & Glaessner, SIAM
     J. Sci. Comput. 19, 1998); it keeps Z_j = A_0^-1 v_j.  Classical
     Gram-Schmidt with one reorthogonalisation; an exactly zero new vector
-    (the undriven case at once) ends the run.  Both generators map
-    Hermitian matrices to Hermitian ones and e_0 is one, so the run stays
-    among them: each new vector is Hermitised, its coefficients are real
-    and every v_j needs only the Hermitian half of the inverse.  Each
-    amplitude keeps its y from the first step where its own residual is
-    within ARNOLDI_RTOL; one that has not converged by ARNOLDI_MAX_STEPS
-    gets None.
+    ends the run.  Both generators map Hermitian matrices to Hermitian ones
+    and e_0 is one, so the run stays among them: the inverse and
+    _Generator.drive return exactly Hermitian matrices, the coefficients
+    are real and every v_j needs only the Hermitian half of the inverse.  Each amplitude keeps its y from the
+    first step where its own residual is within ARNOLDI_RTOL; one that has
+    not converged by ARNOLDI_MAX_STEPS gets None.
     """
-    size = a_1.shape[0]
-    dim = math.isqrt(size)
-    basis = np.empty((ARNOLDI_MAX_STEPS + 1, size), dtype=complex)
-    solved = np.empty((ARNOLDI_MAX_STEPS, size), dtype=complex)
+    dim = generator.dim
+    basis = np.empty((ARNOLDI_MAX_STEPS + 1, dim * dim), dtype=complex)
+    solved = np.empty((ARNOLDI_MAX_STEPS, dim * dim), dtype=complex)
     basis[0] = 0.0
     basis[0, 0] = 1.0
     coeffs = [None] * len(amplitudes)
@@ -470,8 +493,9 @@ def _shifted_arnoldi(inverse: _SectorInverse, a_1: sp.csr_matrix, amplitudes: li
         if not pending:
             break
         solved[j] = inverse.solve(basis[j])
-        w = (a_1 @ solved[j]).reshape(dim, dim)
-        w = (0.5 * (w + w.conj().T)).ravel()
+        w = generator.drive(solved[j].reshape(dim, dim)) * (1.0 / generator.scale)
+        w[0, 0] = 0.0
+        w = w.ravel()
         v = basis[: j + 1]
         h = (v @ w.conj()).real
         w -= h @ v
@@ -489,69 +513,55 @@ def _shifted_arnoldi(inverse: _SectorInverse, a_1: sp.csr_matrix, amplitudes: li
     return coeffs, solved
 
 
-def _frobenius_parts(l_0: sp.csr_matrix, l_1: sp.csr_matrix) -> tuple:
-    """||L_0||^2, 2 Re<L_0, L_1> and ||L_1||^2: ||L_0 + e0 L_1||_F^2 is
-    their polynomial in e0."""
-    cross = l_0.multiply(l_1.conj()).sum()
-    return spla.norm(l_0) ** 2, 2.0 * float(np.real(cross)), spla.norm(l_1) ** 2
+def _solve_point(generator: _Generator, inverse: _SectorInverse, e0: float) -> np.ndarray:
+    """The fallback for one amplitude: LGMRES on its trace-constrained
+    generator, L(e0) / scale with the (0, 0) entry replaced by the trace,
+    applied matrix-free and preconditioned by the exact undriven inverse."""
+    dim, scale = generator.dim, generator.scale
 
+    def constrained(h):
+        out = generator.apply(h, e0) * (1.0 / scale)
+        out[0, 0] = np.trace(h)
+        return out
 
-def _lgmres(a: sp.csr_matrix, b: np.ndarray, precond) -> tuple:
-    op = spla.LinearOperator(a.shape, precond.solve)
+    size = dim * dim
+    a = spla.LinearOperator((size, size), dtype=complex,
+                            matvec=lambda v: _by_parts(constrained, v.reshape(dim, dim)).ravel())
+    b = np.zeros(size, dtype=complex)
+    b[0] = 1.0
     # lgmres divides by a zero Krylov norm when the preconditioner is
     # already exact (undriven systems); the residual check governs
     with np.errstate(divide="ignore", invalid="ignore"):
-        return spla.lgmres(a, b, M=op, rtol=1e-13, atol=1e-16, maxiter=500,
-                           inner_m=_LGMRES_INNER_M, outer_k=_LGMRES_OUTER_K)
+        v, info = spla.lgmres(a, b, M=spla.LinearOperator((size, size), inverse.solve,
+                                                          dtype=complex),
+                              rtol=1e-13, atol=1e-16, maxiter=500,
+                              inner_m=_LGMRES_INNER_M, outer_k=_LGMRES_OUTER_K)
+    if info != 0:
+        raise NumericalError(f"LGMRES did not converge at e0 = {e0:.6e} V/m (info {info})")
+    return v
 
 
-def _natural_ilu(a: sp.csr_matrix, drop_tol: float, fill_factor: float):
-    """Incomplete LU of `a` in its own (natural) row and column order."""
-    return spla.spilu(a.tocsc(), drop_tol=drop_tol, fill_factor=fill_factor,
-                      permc_spec="NATURAL")
+def _checked_state(v: np.ndarray, generator: _Generator, e0: float) -> np.ndarray:
+    """The Hermitian part rho of v, once v passes the checks against its
+    generator L = L_0 + e0 L_1: ||L v|| <= RESIDUAL_TOL ||L||, then the
+    trace.
 
-
-def _solve_point(l_0, l_1, e0: float, dim: int, scale: float, inverse) -> np.ndarray:
-    """The fallback for one amplitude: its own trace-constrained generator,
-    escalating through solvers.
-
-    LGMRES preconditioned by the exact undriven inverse (when the case has
-    one), then by this system's own natural-order ILU (1e-2, then 1e-4),
-    then a full sparse LU.
+    L maps rho and the anti-Hermitian part v - rho to a Hermitian and an
+    anti-Hermitian matrix, which are orthogonal, and ||L (v - rho)|| <=
+    ||L||_F ||v - rho||_F; so hypot(||L rho||, ||L|| ||v - rho||), the
+    residual checked, bounds ||L v|| from above.  The Arnoldi states are
+    Hermitian up to rounding, and for them it is ||L rho||.
     """
-    a = _trace_constrained(l_0 + e0 * l_1, dim, scale)
-    b = np.zeros(dim * dim, dtype=complex)
-    b[0] = 1.0
-    if inverse is not None:
-        v, info = _lgmres(a, b, inverse)
-        if info == 0:
-            return v
-    for drop_tol, fill_factor in _FALLBACK_ILU:
-        try:
-            factor = _natural_ilu(a, drop_tol, fill_factor)
-        except RuntimeError:
-            continue
-        v, info = _lgmres(a, b, factor)
-        if info == 0:
-            return v
-    try:
-        return spla.spsolve(a.tocsc(), b)
-    except (RuntimeError, MemoryError) as exc:
-        raise NumericalError(f"all steady-state solvers failed: {exc}") from exc
-
-
-def _checked_state(v: np.ndarray, l_0, l_1, e0: float, dim: int, l_norm: float) -> np.ndarray:
-    """v as a density matrix once it passes the checks against its generator
-    L_0 + e0 L_1: ||L v|| <= RESIDUAL_TOL ||L||, then Hermitised and
-    trace-checked."""
-    residual = float(np.linalg.norm(l_0 @ v + e0 * (l_1 @ v))) / max(l_norm, 1.0)
+    x = v.reshape(generator.dim, generator.dim)
+    rho = 0.5 * (x + x.conj().T)
+    l_norm = generator.norm(e0)
+    residual = math.hypot(float(np.linalg.norm(generator.apply(rho, e0))),
+                          l_norm * float(np.linalg.norm(x - rho))) / max(l_norm, 1.0)
     if residual > RESIDUAL_TOL:
         raise NumericalError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} "
             f"(generator norm {l_norm:.3e})"
         )
-    rho = v.reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-10:
         raise NumericalError(f"steady-state trace deviates from 1 by {abs(tr - 1.0):.3e}")
@@ -562,55 +572,38 @@ def iter_steady_states(system: FullSystem):
     """Steady-state density matrix of the explicit model at each drive
     amplitude, yielded one (dim, dim) state at a time.
 
-    The generator is L(e0) = L_0 + e0 L_1, with L_0 = liouvillian(h0,
-    collapse) and L_1 = liouvillian(h1) assembled once.  Every amplitude
-    solves (A_0 + e0 A_1) x = e_0, where A_0 is L_0 / max|L_0| with its
-    first row replaced by the trace and A_1 is L_1 on the same scale with
-    its first row zeroed.  A_0 has an exact block inverse
+    The generator L(e0) = L_0 + e0 L_1 is applied at the operator level
+    (_Generator).  Every amplitude solves (A_0 + e0 A_1) x = e_0, where A_0
+    is L_0 / scale with its (0, 0) row replaced by the trace and A_1 is L_1
+    on the same scale with that row zeroed.  A_0 has an exact block inverse
     (_SectorInverse), and one shifted Arnoldi run on A_1 A_0^-1 solves
     every amplitude at once; each state is formed from the shared vectors
     as it is yielded.  Each state is validated against its own generator
-    (||L vec(rho)|| <= RESIDUAL_TOL ||L||, with ||L||_F from the parts of
-    _frobenius_parts), Hermitised and trace-checked.  An amplitude that
-    does not converge or fails a check, and every amplitude of a system
-    without the excitation-number structure, is solved on its own by
-    _solve_point and checked again.
+    (||L vec(rho)|| <= RESIDUAL_TOL ||L||, through the bound of
+    _checked_state and with ||L||_F from operator traces), Hermitised and
+    trace-checked.  An amplitude that does not
+    converge or fails a check is solved on its own by _solve_point and
+    checked again.  Raises NumericalError when h0 breaks the
+    excitation-number structure, so that A_0 has no exact inverse, or when
+    a point's LGMRES does not converge.
     """
-    dim = system.cfg.dim
-    l_0 = liouvillian(system.h0, system.collapse)
-    l_1 = liouvillian(system.h1)
-    scale = float(np.max(np.abs(l_0.data)))
-    n0, cross, n1 = _frobenius_parts(l_0, l_1)
+    generator = _Generator(system)
+    inverse = _SectorInverse.of(generator)
+    if inverse is None:
+        raise NumericalError(
+            "the undriven generator has no exact inverse: h0 does not conserve "
+            "the total excitation number, or an excited level has an undamped mode"
+        )
     amplitudes = np.ravel(system.e0).tolist()
-    inverse = _SectorInverse.of(system, scale)
-    coeffs, solved = [None] * len(amplitudes), None
-    if inverse is not None and amplitudes:
-        a_1 = l_1 * (1.0 / scale)
-        a_1.data[: a_1.indptr[1]] = 0.0
-        coeffs, solved = _shifted_arnoldi(inverse, a_1, amplitudes)
+    coeffs, solved = _shifted_arnoldi(generator, inverse, amplitudes)
     for e0, y in zip(amplitudes, coeffs):
-        l_norm = math.sqrt(max(n0 + e0 * (cross + e0 * n1), 0.0))
         if y is not None:
             try:
-                yield _checked_state(np.asarray(y) @ solved[: len(y)], l_0, l_1, e0, dim,
-                                     l_norm)
+                yield _checked_state(np.asarray(y) @ solved[: len(y)], generator, e0)
                 continue
             except NumericalError:
                 pass
-        v = _solve_point(l_0, l_1, e0, dim, scale, inverse)
-        yield _checked_state(v, l_0, l_1, e0, dim, l_norm)
-
-
-def steady_state_full(system: FullSystem) -> np.ndarray:
-    """The states of iter_steady_states, stacked: one (dim, dim) state for
-    a scalar e0 and a (B, dim, dim) stack otherwise.  The budget check
-    counts the B held states."""
-    count = np.size(system.e0)
-    system.cfg.check_budget(count)
-    states = np.empty((count, system.cfg.dim, system.cfg.dim), dtype=complex)
-    for k, rho in enumerate(iter_steady_states(system)):
-        states[k] = rho
-    return states if np.ndim(system.e0) else states[0]
+        yield _checked_state(_solve_point(generator, inverse, e0), generator, e0)
 
 
 # computational relabeling (q1,q2)-major {gg, ge, eg, ee} -> {gg, eg, ge, ee}
@@ -659,9 +652,9 @@ def validate_against_effective(
     intensity_grid is in W/m^2.  Both models see identical physical inputs;
     the drive phase is applied to the bare dot-2 rate on both sides so the
     comparison is like for like.  The full model solves the grid as one
-    case: one assembly, one exact inverse of the undriven generator and one
-    shifted Arnoldi run serve every intensity (iter_steady_states), and each
-    full state is reduced to the dots before the next is formed.
+    case: one generator, one exact inverse of the undriven generator and
+    one shifted Arnoldi run serve every intensity (iter_steady_states), and
+    each full state is reduced to the dots before the next is formed.
     """
     if omega is None:
         omega = mat.omega_0

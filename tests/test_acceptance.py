@@ -264,11 +264,9 @@ def test_criterion_11_concurrence_unit_suite(material, geometry):
 
 
 def test_criterion_12_truncation_convergence(material, geometry):
-    from plasmarray.fullmodel import (
-        build_full_system,
-        reduce_to_qubits,
-        steady_state_full,
-    )
+    from plasmarray.fullmodel import build_full_system, reduce_to_qubits
+
+    from _lindblad import steady_state_full
 
     qd = QdParams.at_resonance(material, R_QD, GAMMA_I, 80 * GAMMA_I, -80 * GAMMA_I)
     geom = geometry(1)

@@ -1,11 +1,11 @@
 """Explicit-mode (Fock space) simulation and its agreement with the
 effective model."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 from plasmarray import (
@@ -18,18 +18,21 @@ from plasmarray import (
     drive_rates,
     validate_against_effective,
 )
-from plasmarray import fullmodel
+from plasmarray import NumericalError, fullmodel
 from plasmarray.constants import W_CM2_TO_W_M2
 from plasmarray.effective import complex_pole
-from plasmarray.fullmodel import (
-    _site_operator,
-    build_full_system,
-    liouvillian,
-    reduce_to_qubits,
-    steady_state_full,
-)
+from plasmarray.fullmodel import build_full_system, reduce_to_qubits
 from plasmarray.plasmonics import bare_couplings
 
+from _lindblad import (
+    case_generators,
+    collapse_operators,
+    liouvillian,
+    lowering,
+    site_operator,
+    steady_state_full,
+    trace_constrained,
+)
 from conftest import GAMMA_I, GAP, R_MNP, R_QD
 
 
@@ -45,7 +48,7 @@ def _hamiltonian(system):
 
 def _generator(system):
     """The Lindblad generator of a system built at a single intensity."""
-    return liouvillian(_hamiltonian(system), system.collapse)
+    return liouvillian(_hamiltonian(system), collapse_operators(system))
 
 
 def trace_preservation_defect(l_op, dim: int) -> float:
@@ -59,7 +62,7 @@ def trace_preservation_defect(l_op, dim: int) -> float:
 def mean_mode_occupation(rho_full, cfg: FockConfig, mode: int = 0) -> float:
     """<a_m^+ a_m> in the full steady state."""
     number = np.diag(np.arange(cfg.fock_levels)).astype(complex)
-    op = _site_operator(number, 2 + mode, cfg.dims)
+    op = site_operator(number, 2 + mode, cfg.dims)
     return float(np.trace(op @ rho_full).real)
 
 
@@ -67,9 +70,9 @@ def _reference_hamiltonian(geom, material, qd, drive, cfg):
     """The full Hamiltonian written out at one drive, term by term."""
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     annihilate = np.diag(np.sqrt(np.arange(1, cfg.fock_levels)), k=1).astype(complex)
-    s1 = _site_operator(lower, 0, cfg.dims)
-    s2 = _site_operator(lower, 1, cfg.dims)
-    modes = [_site_operator(annihilate, 2 + m, cfg.dims) for m in range(cfg.n)]
+    s1 = site_operator(lower, 0, cfg.dims)
+    s2 = site_operator(lower, 1, cfg.dims)
+    modes = [site_operator(annihilate, 2 + m, cfg.dims) for m in range(cfg.n)]
     bc = bare_couplings(geom, qd, material)
     pole = complex_pole(material, qd, drive.omega)
     h = pole.detuning_1 * (s1.getH() @ s1) + pole.detuning_2 * (s2.getH() @ s2)
@@ -86,31 +89,19 @@ def _reference_hamiltonian(geom, material, qd, drive, cfg):
 
 
 class _CountingSolvers:
-    """Stands in for scipy.sparse.linalg inside fullmodel and counts calls.
+    """Stands in for scipy.sparse.linalg inside fullmodel and counts LGMRES
+    calls.
 
     fail_lgmres(k) decides whether the k-th LGMRES call (from 1) reports
-    non-convergence (info = 1) instead of running.  fail_spilu(k) decides
-    whether the k-th spilu call raises RuntimeError, as SuperLU does for an
-    exactly singular factor.
+    non-convergence (info = 1) instead of running.
     """
 
-    def __init__(self, fail_lgmres=lambda k: False, fail_spilu=lambda k: False):
-        self.calls = {"spilu": 0, "lgmres": 0, "spsolve": 0}
+    def __init__(self, fail_lgmres=lambda k: False):
+        self.calls = {"lgmres": 0}
         self._fail_lgmres = fail_lgmres
-        self._fail_spilu = fail_spilu
 
     def __getattr__(self, name):
         return getattr(spla, name)
-
-    def spilu(self, *args, **kwargs):
-        self.calls["spilu"] += 1
-        if self._fail_spilu(self.calls["spilu"]):
-            raise RuntimeError("Factor is exactly singular")
-        return spla.spilu(*args, **kwargs)
-
-    def spsolve(self, *args, **kwargs):
-        self.calls["spsolve"] += 1
-        return spla.spsolve(*args, **kwargs)
 
     def lgmres(self, a, b, **kwargs):
         self.calls["lgmres"] += 1
@@ -119,7 +110,7 @@ class _CountingSolvers:
         return spla.lgmres(a, b, **kwargs)
 
 
-NO_SOLVER_CALLS = {"spilu": 0, "lgmres": 0, "spsolve": 0}
+NO_SOLVER_CALLS = {"lgmres": 0}
 
 
 # --------------------------------------------------------------------------
@@ -151,8 +142,8 @@ def test_truncated_ladder_algebra():
 def test_distinct_modes_commute():
     dims = (2, 2, 3, 3)
     lower = np.diag(np.sqrt(np.arange(1, 3)), k=1)
-    a1 = _site_operator(lower, 2, dims)
-    a2 = _site_operator(lower, 3, dims)
+    a1 = site_operator(lower, 2, dims)
+    a2 = site_operator(lower, 3, dims)
     comm = a1 @ a2.getH() - a2.getH() @ a1
     assert abs(comm).max() < 1e-14
 
@@ -163,20 +154,32 @@ def test_operator_shapes_and_embedding(material, qd_resonant, geometry):
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 1.0), cfg
     )
     assert system.h0.shape == system.h1.shape == (cfg.dim, cfg.dim)
-    for _, op in system.collapse:
+    assert [site for _, site in system.collapse] == list(range(cfg.n + 2))
+    for _, op in collapse_operators(system):
         assert op.shape == (cfg.dim, cfg.dim)
-    assert liouvillian(system.h0, system.collapse).shape == (cfg.dim**2, cfg.dim**2)
-    assert liouvillian(system.h1).shape == (cfg.dim**2, cfg.dim**2)
+    l_0, l_1 = case_generators(system)
+    assert l_0.shape == l_1.shape == (cfg.dim**2, cfg.dim**2)
 
 
 def test_kron_ordering_is_dot1_dot2_modes():
     dims = (2, 2, 3)
     number = np.diag([0.0, 1.0, 2.0])
-    op = _site_operator(number, 2, dims).toarray()
+    op = site_operator(number, 2, dims).toarray()
     # acting on |g g 2>: eigenvalue 2 at raveled index 2
     ket = np.zeros(12)
     ket[2] = 1.0
     assert np.allclose(op @ ket, 2.0 * ket)
+
+
+def test_index_built_lowering_operators_equal_the_kron_built_ones():
+    for n, nlev in [(1, 4), (2, 3), (3, 3)]:
+        dims = FockConfig(n=n, fock_levels=nlev).dims
+        for site, d in enumerate(dims):
+            index_built = fullmodel._lowering(dims, site)
+            kron_built = site_operator(lowering(d), site, dims)
+            assert index_built.dtype == kron_built.dtype
+            assert index_built.nnz == kron_built.nnz
+            assert (index_built != kron_built).nnz == 0
 
 
 def test_hamiltonian_is_hermitian(material, qd_resonant, geometry):
@@ -202,8 +205,8 @@ def test_memory_budget_refusal(material, qd_resonant, geometry):
 def test_memory_estimate_bounds_the_assembled_solve(material, qd_resonant, geometry,
                                                     n, nlev):
     """The budget estimate for one held state covers the tracemalloc peak
-    of iter_steady_states over a case: assembly, the sector inverse, the
-    Arnoldi vectors and the checked states."""
+    of iter_steady_states over a case: the generator, the sector inverse,
+    the Arnoldi vectors and the checked states."""
     cfg = FockConfig(n=n, fock_levels=nlev)
     system = build_full_system(geometry(n), material, qd_resonant,
                                _drive(material, qd_resonant, [0.5, 20.0, 80.0]), cfg)
@@ -379,14 +382,13 @@ def test_case_generator_matches_direct_assembly(material, geometry, n, nlev):
     intensities = [0.0, 0.5, 3.0, 80.0]
     drive = _drive(material, qd, intensities, phi=0.7)
     system = build_full_system(geometry(n), material, qd, drive, cfg)
-    l_0 = liouvillian(system.h0, system.collapse)
-    l_1 = liouvillian(system.h1)
+    l_0, l_1 = case_generators(system)
     assert np.all(l_1.data != 0)
     for k, intensity in enumerate(intensities):
         one = _drive(material, qd, intensity, phi=0.7)
         assert one.e0 == system.e0[k]
         ref = liouvillian(_reference_hamiltonian(geometry(n), material, qd, one, cfg),
-                          system.collapse)
+                          collapse_operators(system))
         case = l_0 + system.e0[k] * l_1
         assert spla.norm(case - ref) <= 1e-14 * spla.norm(ref)
         assert case.nnz == ref.nnz
@@ -398,8 +400,23 @@ def _detuned_pair(material):
     return QdParams.at_resonance(material, R_QD, GAMMA_I, -10.0 * GAMMA_I, -10.0 * GAMMA_I)
 
 
-def _scale(l_0) -> float:
-    return float(np.max(np.abs(l_0.data)))
+@pytest.mark.parametrize("n, nlev", [(1, 4), (2, 3), (3, 3)])
+def test_operator_form_matches_the_superoperator(material, geometry, n, nlev):
+    """The matrix-free L_0 and L_1 applied to a random non-Hermitian rho
+    equal the assembled superoperators' products, and the scale of the
+    trace-constrained systems is L_0's largest entry."""
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=n, fock_levels=nlev)
+    system = build_full_system(geometry(n), material, qd, _drive(material, qd, 1.5, 0.7), cfg)
+    generator = fullmodel._Generator(system)
+    l_0, l_1 = case_generators(system)
+    rng = np.random.default_rng(n * 10 + nlev)
+    rho = rng.standard_normal((cfg.dim, cfg.dim)) + 1j * rng.standard_normal((cfg.dim, cfg.dim))
+    for apply, l_op in ((lambda h: generator.apply(h, 0.0), l_0), (generator.drive, l_1)):
+        ref = l_op @ rho.ravel()
+        out = fullmodel._by_parts(apply, rho).ravel()
+        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert generator.scale == pytest.approx(float(np.max(np.abs(l_0.data))), rel=1e-15)
 
 
 @pytest.mark.parametrize("n, nlev", [(1, 4), (2, 3), (2, 4), (3, 3)])
@@ -412,9 +429,9 @@ def test_sector_inverse_reproduces_v(material, geometry, n, nlev):
     qd = _detuned_pair(material)
     cfg = FockConfig(n=n, fock_levels=nlev)
     system = build_full_system(geometry(n), material, qd, _drive(material, qd, 1.5), cfg)
-    l_0 = liouvillian(system.h0, system.collapse)
-    inverse = fullmodel._SectorInverse.of(system, _scale(l_0))
-    a_0 = fullmodel._trace_constrained(l_0, cfg.dim, _scale(l_0))
+    generator = fullmodel._Generator(system)
+    inverse = fullmodel._SectorInverse.of(generator)
+    a_0 = trace_constrained(case_generators(system)[0], cfg.dim, generator.scale)
     rng = np.random.default_rng(n * 10 + nlev)
     v = rng.standard_normal(cfg.dim**2) + 1j * rng.standard_normal(cfg.dim**2)
     m = v.reshape(cfg.dim, cfg.dim)
@@ -427,17 +444,16 @@ def test_sector_inverse_reproduces_v(material, geometry, n, nlev):
             assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_frobenius_parts_give_the_generator_norm(material, geometry):
+def test_operator_trace_norm_gives_the_generator_norm(material, geometry):
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=3)
-    drive = _drive(material, qd, [0.0, 0.5, 3.0, 80.0])
+    drive = _drive(material, qd, [0.0, 0.5, 3.0, 80.0], phi=0.7)
     system = build_full_system(geometry(2), material, qd, drive, cfg)
-    l_0 = liouvillian(system.h0, system.collapse)
-    l_1 = liouvillian(system.h1)
-    n0, cross, n1 = fullmodel._frobenius_parts(l_0, l_1)
+    generator = fullmodel._Generator(system)
+    l_0, l_1 = case_generators(system)
     for e0 in system.e0:
         ref = spla.norm(l_0 + e0 * l_1)
-        assert abs(np.sqrt(n0 + e0 * (cross + e0 * n1)) - ref) <= 1e-12 * ref
+        assert abs(generator.norm(e0) - ref) <= 1e-12 * ref
 
 
 def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
@@ -447,14 +463,20 @@ def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
 
 
 def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypatch):
-    """One case over four intensities: no sparse solver call at all, and
-    the same concurrence as a separate solve (own assembly, own run) per
+    """One case over four intensities: no LGMRES call and no
+    scipy.sparse.kron call at all (so no superoperator is assembled), and
+    the same concurrence as a separate solve (own system, own run) per
     point."""
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("scipy.sparse.kron called while solving a case")
+
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=4)
     intensities = (0.0, 0.5, 1.5, 3.0)
     solvers = _CountingSolvers()
     monkeypatch.setattr(fullmodel, "spla", solvers)
+    monkeypatch.setattr(scipy.sparse, "kron", no_kron)
     table = validate_against_effective(
         geometry(2), material, qd, cfg, [i * W_CM2_TO_W_M2 for i in intensities]
     )
@@ -469,8 +491,7 @@ def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypat
 def _assert_solves_case(system, states, clean, cfg):
     """Each state passes its own residual check and matches the clean
     solve's concurrence within 1e-10."""
-    l_0 = liouvillian(system.h0, system.collapse)
-    l_1 = liouvillian(system.h1)
+    l_0, l_1 = case_generators(system)
     for e0, rho, ref in zip(system.e0, states, clean):
         l_op = l_0 + e0 * l_1
         assert np.linalg.norm(l_op @ rho.ravel()) <= 1e-8 * spla.norm(l_op)
@@ -478,11 +499,11 @@ def _assert_solves_case(system, states, clean, cfg):
                    - concurrence(reduce_to_qubits(ref, cfg))) <= 1e-10
 
 
-def _three_point_case(material, geometry, intensities=(0.5, 1.5, 3.0)):
+def _three_point_case(material, geometry):
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=3)
     system = build_full_system(geometry(2), material, qd,
-                               _drive(material, qd, intensities), cfg)
+                               _drive(material, qd, (0.5, 1.5, 3.0)), cfg)
     return system, cfg
 
 
@@ -503,77 +524,63 @@ def test_unsolved_amplitudes_fall_back_per_point(material, geometry, monkeypatch
     monkeypatch.setattr(fullmodel, "spla", solvers)
     monkeypatch.setattr(fullmodel, constant, value)
     states = steady_state_full(system)
-    assert solvers.calls == {"spilu": 0, "lgmres": 3, "spsolve": 0}
+    assert solvers.calls == {"lgmres": 3}
     _assert_solves_case(system, states, clean, cfg)
 
 
-@pytest.mark.parametrize("fail, expected", [
-    # LGMRES with the case's exact inverse fails from the second point on:
-    # each of those points gets its own ILU, and no point hands its factor on
-    (lambda k: k > 1 and k % 2 == 0, {"spilu": 2, "lgmres": 5, "spsolve": 0}),
-    # LGMRES never converges: every point runs the whole chain (the exact
-    # inverse, its own ILU 1e-2 and 1e-4, then a sparse LU)
-    (lambda k: True, {"spilu": 6, "lgmres": 9, "spsolve": 3}),
+@pytest.mark.parametrize("fail, calls", [
+    # LGMRES with the case's exact inverse solves the first point and
+    # fails on the second
+    (lambda k: k > 1, 2),
+    # LGMRES never converges: the first point fails
+    (lambda k: True, 1),
 ], ids=["first-factor-goes-stale", "lgmres-never-converges"])
-def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, expected):
-    system, cfg = _three_point_case(material, geometry)
-    clean = steady_state_full(system)
+def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, calls):
+    """With ARNOLDI_MAX_STEPS = 2 every point falls back to LGMRES; the
+    first point whose LGMRES does not converge raises NumericalError."""
+    system, _ = _three_point_case(material, geometry)
     solvers = _CountingSolvers(fail)
     monkeypatch.setattr(fullmodel, "spla", solvers)
     monkeypatch.setattr(fullmodel, "ARNOLDI_MAX_STEPS", 2)
-    states = steady_state_full(system)
-    assert solvers.calls == expected
-    _assert_solves_case(system, states, clean, cfg)
+    with pytest.raises(NumericalError, match="LGMRES did not converge"):
+        steady_state_full(system)
+    assert solvers.calls == {"lgmres": calls}
 
 
-def test_singular_undriven_factor_falls_back_per_point(material, geometry, monkeypatch):
-    """Without the exact inverse every point runs its own chain from its
-    own ILU, and a singular ILU 1e-2 moves on to ILU 1e-4."""
-    system, cfg = _three_point_case(material, geometry)
-    clean = steady_state_full(system)
-    solvers = _CountingSolvers(fail_spilu=lambda k: k == 1)
-    monkeypatch.setattr(fullmodel, "spla", solvers)
-    monkeypatch.setattr(fullmodel._SectorInverse, "of", classmethod(lambda cls, *args: None))
-    states = steady_state_full(system)
-    assert solvers.calls == {"spilu": 4, "lgmres": 3, "spsolve": 0}
-    _assert_solves_case(system, states, clean, cfg)
-
-
-def test_counter_rotating_term_falls_back_per_point(material, geometry, monkeypatch):
+def test_counter_rotating_term_raises(material, geometry, monkeypatch):
     """A counter-rotating exchange g (s_1^+ a^+ + s_1 a) breaks the
-    excitation-number structure: the case has no exact inverse, and each
-    point is solved by its own chain and passes its checks."""
+    excitation-number structure: the case has no exact inverse, and the
+    solve raises NumericalError before any LGMRES call."""
     system, cfg = _three_point_case(material, geometry)
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    annihilate = np.diag(np.sqrt(np.arange(1, cfg.fock_levels)), k=1).astype(complex)
-    s1 = _site_operator(lower, 0, cfg.dims)
-    a_1 = _site_operator(annihilate, 2, cfg.dims)
+    s1 = site_operator(lowering(2), 0, cfg.dims)
+    a_1 = site_operator(lowering(cfg.fock_levels), 2, cfg.dims)
     g = bare_couplings(geometry(2), _detuned_pair(material), material).g
     system.h0 = (system.h0 + 0.1 * g * (s1.getH() @ a_1.getH() + s1 @ a_1)).tocsr()
-    l_0 = liouvillian(system.h0, system.collapse)
-    assert fullmodel._SectorInverse.of(system, _scale(l_0)) is None
+    assert fullmodel._SectorInverse.of(fullmodel._Generator(system)) is None
     solvers = _CountingSolvers()
     monkeypatch.setattr(fullmodel, "spla", solvers)
-    states = steady_state_full(system)
-    assert solvers.calls["spilu"] >= 3 and solvers.calls["lgmres"] >= 3
-    l_1 = liouvillian(system.h1)
-    for e0, rho in zip(system.e0, states):
-        l_op = l_0 + e0 * l_1
-        assert np.linalg.norm(l_op @ rho.ravel()) <= 1e-8 * spla.norm(l_op)
-        assert abs(np.trace(rho).real - 1.0) <= 1e-10
+    with pytest.raises(NumericalError, match="excitation number"):
+        steady_state_full(system)
+    assert solvers.calls == NO_SOLVER_CALLS
 
 
 def test_state_does_not_depend_on_the_intensity_grid(material, geometry):
-    """Within one case (the same h0, h1 and collapse channels), each
-    amplitude's state is bit-identical whether it is solved alone, in the
-    grid or in the reversed grid."""
-    system, _ = _three_point_case(material, geometry, (0.0, 0.5, 1.5, 3.0, 80.0))
-    grid = steady_state_full(system)
-    reverse = steady_state_full(dataclasses.replace(system, e0=system.e0[::-1]))
-    assert np.array_equal(grid, reverse[::-1])
-    for k, rho in enumerate(grid):
-        alone = dataclasses.replace(system, e0=system.e0[k:k + 1])
-        assert np.array_equal(steady_state_full(alone)[0], rho)
+    """Each amplitude's state is bit-identical whether its system is built
+    for it alone, for the grid or for the reversed grid: h1 holds the
+    unit-amplitude rates whatever the intensities, and each amplitude's
+    Arnoldi coefficients depend on its own e0 alone."""
+    qd = _detuned_pair(material)
+    cfg = FockConfig(n=2, fock_levels=3)
+    intensities = [0.0, 0.5, 1.5, 3.0, 80.0]
+
+    def states(grid):
+        return steady_state_full(build_full_system(geometry(2), material, qd,
+                                                   _drive(material, qd, grid), cfg))
+
+    grid = states(intensities)
+    assert np.array_equal(grid, states(intensities[::-1])[::-1])
+    for intensity, rho in zip(intensities, grid):
+        assert np.array_equal(states(intensity), rho)
 
 
 def test_validator_budget_counts_one_held_state(material, geometry):
