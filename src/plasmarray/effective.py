@@ -214,7 +214,6 @@ class DickeParams:
 
     e_plus: float
     e_minus: float
-    delta_plus: float
     delta_minus: float
     omega_s: complex
     omega_a: complex
@@ -231,7 +230,6 @@ def dicke_params(mp: MediatedParams) -> DickeParams:
     return DickeParams(
         e_plus=davg - mp.g_coh,
         e_minus=davg + mp.g_coh,
-        delta_plus=davg,
         delta_minus=dmin,
         omega_s=(mp.lambda_tilde_1 + mp.lambda_tilde_2) / SQRT2,
         omega_a=(mp.lambda_tilde_1 - mp.lambda_tilde_2) / SQRT2,

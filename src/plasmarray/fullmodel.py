@@ -20,10 +20,10 @@ collapse operator lowers it by one, so in a basis sorted by that number the
 trace-constrained L_0 is block triangular, with one small Sylvester
 equation per pair of excitation levels (_SectorInverse).  Second, the
 shifted systems L_0 + e0 L_1 share one Krylov space of L_1 L_0^-1, so one
-Arnoldi run of ~10-20 steps solves every intensity of the case at once
-(Frommer & Glaessner, SIAM J. Sci. Comput. 19, 1998).  A point that does
-not converge there, or fails a check, is solved on its own by LGMRES on
-the matrix-free generator, preconditioned with the exact inverse.
+Arnoldi run of ~10-50 steps solves every intensity of the case at once
+(Frommer & Glaessner, SIAM J. Sci. Comput. 19, 1998).  An intensity that
+the run leaves unsolved, or whose state fails a check, raises
+NumericalError.
 
 This path scales exponentially in n and exists to validate the effective
 model on small chains; construction refuses up front when the estimated
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import ztrsyl
 
 from .constants import HBAR
@@ -65,25 +64,27 @@ __all__ = [
     "validate_against_effective",
 ]
 
+# no sparse solver runs here; perfbench's tracer looks its solvers up on
+# this name and reports them absent
+spla = None
+
 # a full-model steady state is accepted when ||L vec(rho)|| <= RESIDUAL_TOL ||L||
 RESIDUAL_TOL = 1e-8
 # the shifted Arnoldi run: an amplitude is solved once its least-squares
 # residual is within ARNOLDI_RTOL (|e_0| = 1); the run ends by
 # ARNOLDI_MAX_STEPS at the latest
 ARNOLDI_RTOL = 1e-15
-ARNOLDI_MAX_STEPS = 40
+ARNOLDI_MAX_STEPS = 128
 
 _BYTES_PER_NNZ = 28  # complex128 value + int32 index + row-pointer share
 _BYTES_PER_VALUE = 16  # complex128
-# LGMRES restart length and kept correction vectors (scipy's defaults);
-# it holds inner_m + outer_k + 1 Arnoldi vectors, as many preconditioned
-# ones and outer_k stored pairs
-_LGMRES_INNER_M = 30
-_LGMRES_OUTER_K = 3
-_LGMRES_VECTORS = 2 * (_LGMRES_INNER_M + _LGMRES_OUTER_K) + 1 + 2 * _LGMRES_OUTER_K
 # dim x dim temporaries of one inverse application, one application of
-# L_0 + e0 L_1 (residual check or LGMRES product) and one Hermitisation
+# L_0 + e0 L_1 (residual check) and one Hermitisation
 _WORK_VECTORS = 10
+# a Python float and its list slot; one shifted least-squares fit of m
+# steps holds m (m + 1) / 2 of them in its triangular factor and about 8 m
+# more in its rotations, right-hand side, coefficients and list headers
+_BYTES_PER_PY_FLOAT = 32
 
 
 def _level_sizes(n: int, fock_levels: int) -> np.ndarray:
@@ -119,9 +120,10 @@ class FockConfig:
     def dim(self) -> int:
         return 4 * self.fock_levels**self.n
 
-    def estimated_solve_bytes(self, states: int) -> int:
-        """An upper bound on what the explicit-mode solve holds at once
-        while it keeps `states` solved dim x dim states.
+    def estimated_solve_bytes(self, states: int, amplitudes: int) -> int:
+        """An upper bound on what the explicit-mode solve of `amplitudes`
+        drive amplitudes holds at once while it keeps `states` solved
+        dim x dim states.
 
         The generator is applied to dim x dim matrices, so the solve holds
         dim x dim arrays and a few sparse dim x dim operators.  The sparse
@@ -132,11 +134,12 @@ class FockConfig:
         form, its basis and their adjoints and a dense block of A; per
         level pair and channel the jump block in three layouts, and the
         n + 3 dense operators they are cut from); the 2 ARNOLDI_MAX_STEPS
-        + 1 Arnoldi vectors; the LGMRES basis of a point that falls back;
-        the working matrices of the inverse, of one application of the
-        generator and of the Hermitisation; and the held states: one for
-        iter_steady_states, whose caller reduces each state before the next
-        is solved.
+        + 1 Arnoldi vectors; the working matrices of the inverse, of one
+        application of the generator and of the Hermitisation; and the held
+        states: one for iter_steady_states, whose caller reduces each state
+        before the next is solved.  Beside them, each amplitude keeps a
+        least-squares fit of up to ARNOLDI_MAX_STEPS steps in Python floats
+        (_ShiftedLeastSquares).
         """
         rows = self.dim**2
         sizes = _level_sizes(self.n, self.fock_levels)
@@ -145,12 +148,14 @@ class FockConfig:
         blocks = (4 * int(np.sum(sizes**2))
                   + 3 * channels * int(np.sum(sizes[:-1] * sizes[1:]))
                   + (channels + 1) * rows)
-        vectors = (2 * ARNOLDI_MAX_STEPS + 1 + _WORK_VECTORS + _LGMRES_VECTORS
-                   + states)
-        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * (blocks + vectors * rows))
+        vectors = 2 * ARNOLDI_MAX_STEPS + 1 + _WORK_VECTORS + states
+        m = ARNOLDI_MAX_STEPS
+        fits = amplitudes * (m * (m + 1) // 2 + 8 * m)
+        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * (blocks + vectors * rows)
+                   + _BYTES_PER_PY_FLOAT * fits)
 
-    def check_budget(self, states: int) -> None:
-        est = self.estimated_solve_bytes(states)
+    def check_budget(self, states: int, amplitudes: int) -> None:
+        est = self.estimated_solve_bytes(states, amplitudes)
         if est > self.memory_budget_bytes:
             raise MemoryBudgetError(
                 f"explicit-mode solve for n={self.n}, N={self.fock_levels} "
@@ -211,11 +216,11 @@ def build_full_system(
     intensity or several at a single frequency; h1 takes its rates at
     e0 = 1 V/m from the dipoles, as drive_rates does, so it does not depend
     on the intensities.  The budget check counts one held state
-    (iter_steady_states).
+    (iter_steady_states) and one least-squares fit per intensity.
     """
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
-    cfg.check_budget(1)
+    cfg.check_budget(1, np.size(drive.e0))
     sites = range(cfg.n + 2)
     lower = [_lowering(cfg.dims, site) for site in sites]
 
@@ -245,18 +250,9 @@ def build_full_system(
                       collapse=collapse)
 
 
-def _by_parts(op, x: np.ndarray) -> np.ndarray:
-    """op(X) for a linear map op that takes Hermitian matrices to Hermitian
-    ones and is applied to them alone: op(H) + i op(K) with X = H + i K."""
-    h = 0.5 * (x + x.conj().T)
-    k = 0.5j * (x.conj().T - x)
-    out = op(h)
-    return out + 1j * op(k) if np.any(k) else out
-
-
 class _Generator:
     """L(e0) = L_0 + e0 L_1 of one case, applied to Hermitian dim x dim
-    matrices H (others go through _by_parts).
+    matrices H.
 
     L_0(H) = A H + H A^+ + sum gamma c H c^+ with A = -i h0 - 1/2 sum gamma
     c^+ c, and L_1(H) = -i [h1, H] = D H + H D^+ with D = -i h1; H B^+ is
@@ -340,9 +336,8 @@ class _SectorInverse:
     bases of the A_k, after subtracting the jumps out of the solved
     (k+1, l+1) block.  The (0, 0) entry, whose Sylvester block is exactly
     0, comes from the trace row.  A_0 maps Hermitian matrices to Hermitian
-    ones, so a Hermitian v needs only the blocks with k >= l; any other v
-    is solved as its Hermitian and anti-Hermitian parts (_by_parts).
-    `solve` is also the preconditioner of _solve_point.
+    ones, and `solve` takes Hermitian ones alone (the Arnoldi vectors), so
+    it solves only the blocks with k >= l and mirrors the rest.
     """
 
     def __init__(self, order, level, schur_t, schur_q, jumps, scale):
@@ -390,11 +385,6 @@ class _SectorInverse:
         return cls(order, level, schur_t, schur_q, jumps, generator.scale)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """z with A_0 z = v."""
-        x = np.asarray(v, dtype=complex).reshape(self._dim, self._dim)
-        return _by_parts(self._solve_hermitian, x).ravel()
-
-    def _solve_hermitian(self, v: np.ndarray) -> np.ndarray:
         """Z with A_0 vec(Z) = vec(V) for a Hermitian dim x dim V."""
         x = v[self._sorted] * self._scale
         slices, q, qh = self._slices, self._q, self._qh
@@ -437,12 +427,19 @@ class _ShiftedLeastSquares:
         self.r_columns = []  # of the triangular factor
         self.g = [1.0]
         self.y = None
+        self.steps = 0  # columns taken
+
+    @property
+    def residual(self) -> float:
+        """The least-squares residual after the last column solved."""
+        return abs(self.g[-1])
 
     def add(self, column: list) -> bool:
         """Take Arnoldi column j (h_0j .. h_j+1,j).  True once this amplitude
-        is done: y then holds its coefficients, or None when I + e0 H is
-        singular."""
+        is done: y then holds its coefficients, or stays None when I + e0 H
+        is singular."""
         e0, j = self.e0, len(self.r_columns)
+        self.steps += 1
         col = [e0 * h for h in column[:-1]]
         col[j] += 1.0
         for i, (c, s) in enumerate(self.rotations):
@@ -467,7 +464,8 @@ class _ShiftedLeastSquares:
 
 
 def _shifted_arnoldi(generator: _Generator, inverse: _SectorInverse, amplitudes: list):
-    """Coefficients y (or None) per amplitude and the vectors Z with
+    """The least-squares fit of each amplitude (_ShiftedLeastSquares, whose
+    y stays None when unsolved) and the vectors Z with
     (A_0 + e0 A_1) (Z y) = e_0, where A_1 Z is L_1(Z) / scale with its
     (0, 0) entry zeroed (the trace row).
 
@@ -478,21 +476,22 @@ def _shifted_arnoldi(generator: _Generator, inverse: _SectorInverse, amplitudes:
     ends the run.  Both generators map Hermitian matrices to Hermitian ones
     and e_0 is one, so the run stays among them: the inverse and
     _Generator.drive return exactly Hermitian matrices, the coefficients
-    are real and every v_j needs only the Hermitian half of the inverse.  Each amplitude keeps its y from the
-    first step where its own residual is within ARNOLDI_RTOL; one that has
-    not converged by ARNOLDI_MAX_STEPS gets None.
+    are real and every v_j needs only the Hermitian half of the inverse.
+    Each amplitude keeps its y from the first step where its own residual
+    is within ARNOLDI_RTOL; the run ends once every amplitude is done, or
+    after ARNOLDI_MAX_STEPS.
     """
     dim = generator.dim
     basis = np.empty((ARNOLDI_MAX_STEPS + 1, dim * dim), dtype=complex)
     solved = np.empty((ARNOLDI_MAX_STEPS, dim * dim), dtype=complex)
     basis[0] = 0.0
     basis[0, 0] = 1.0
-    coeffs = [None] * len(amplitudes)
-    pending = {k: _ShiftedLeastSquares(e0) for k, e0 in enumerate(amplitudes)}
+    fits = [_ShiftedLeastSquares(e0) for e0 in amplitudes]
+    pending = fits
     for j in range(ARNOLDI_MAX_STEPS):
         if not pending:
             break
-        solved[j] = inverse.solve(basis[j])
+        solved[j] = inverse.solve(basis[j].reshape(dim, dim)).ravel()
         w = generator.drive(solved[j].reshape(dim, dim)) * (1.0 / generator.scale)
         w[0, 0] = 0.0
         w = w.ravel()
@@ -504,41 +503,11 @@ def _shifted_arnoldi(generator: _Generator, inverse: _SectorInverse, amplitudes:
         h += again
         beta = float(np.linalg.norm(w))
         column = h.tolist() + [beta]
-        for k in list(pending):
-            if pending[k].add(column):
-                coeffs[k] = pending.pop(k).y
+        pending = [fit for fit in pending if not fit.add(column)]
         if beta == 0.0:
             break
         basis[j + 1] = w / beta
-    return coeffs, solved
-
-
-def _solve_point(generator: _Generator, inverse: _SectorInverse, e0: float) -> np.ndarray:
-    """The fallback for one amplitude: LGMRES on its trace-constrained
-    generator, L(e0) / scale with the (0, 0) entry replaced by the trace,
-    applied matrix-free and preconditioned by the exact undriven inverse."""
-    dim, scale = generator.dim, generator.scale
-
-    def constrained(h):
-        out = generator.apply(h, e0) * (1.0 / scale)
-        out[0, 0] = np.trace(h)
-        return out
-
-    size = dim * dim
-    a = spla.LinearOperator((size, size), dtype=complex,
-                            matvec=lambda v: _by_parts(constrained, v.reshape(dim, dim)).ravel())
-    b = np.zeros(size, dtype=complex)
-    b[0] = 1.0
-    # lgmres divides by a zero Krylov norm when the preconditioner is
-    # already exact (undriven systems); the residual check governs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v, info = spla.lgmres(a, b, M=spla.LinearOperator((size, size), inverse.solve,
-                                                          dtype=complex),
-                              rtol=1e-13, atol=1e-16, maxiter=500,
-                              inner_m=_LGMRES_INNER_M, outer_k=_LGMRES_OUTER_K)
-    if info != 0:
-        raise NumericalError(f"LGMRES did not converge at e0 = {e0:.6e} V/m (info {info})")
-    return v
+    return fits, solved
 
 
 def _checked_state(v: np.ndarray, generator: _Generator, e0: float) -> np.ndarray:
@@ -560,7 +529,7 @@ def _checked_state(v: np.ndarray, generator: _Generator, e0: float) -> np.ndarra
     if residual > RESIDUAL_TOL:
         raise NumericalError(
             f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} "
-            f"(generator norm {l_norm:.3e})"
+            f"at e0 = {e0:.6e} V/m (generator norm {l_norm:.3e})"
         )
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-10:
@@ -581,11 +550,10 @@ def iter_steady_states(system: FullSystem):
     as it is yielded.  Each state is validated against its own generator
     (||L vec(rho)|| <= RESIDUAL_TOL ||L||, through the bound of
     _checked_state and with ||L||_F from operator traces), Hermitised and
-    trace-checked.  An amplitude that does not
-    converge or fails a check is solved on its own by _solve_point and
-    checked again.  Raises NumericalError when h0 breaks the
-    excitation-number structure, so that A_0 has no exact inverse, or when
-    a point's LGMRES does not converge.
+    trace-checked.  Raises NumericalError when h0 breaks the
+    excitation-number structure, so that A_0 has no exact inverse, when
+    the run leaves an amplitude unsolved (ARNOLDI_MAX_STEPS reached, or
+    I + e0 H singular), or when a state fails a check.
     """
     generator = _Generator(system)
     inverse = _SectorInverse.of(generator)
@@ -594,16 +562,15 @@ def iter_steady_states(system: FullSystem):
             "the undriven generator has no exact inverse: h0 does not conserve "
             "the total excitation number, or an excited level has an undamped mode"
         )
-    amplitudes = np.ravel(system.e0).tolist()
-    coeffs, solved = _shifted_arnoldi(generator, inverse, amplitudes)
-    for e0, y in zip(amplitudes, coeffs):
-        if y is not None:
-            try:
-                yield _checked_state(np.asarray(y) @ solved[: len(y)], generator, e0)
-                continue
-            except NumericalError:
-                pass
-        yield _checked_state(_solve_point(generator, inverse, e0), generator, e0)
+    fits, solved = _shifted_arnoldi(generator, inverse, np.ravel(system.e0).tolist())
+    for fit in fits:
+        if fit.y is None:
+            raise NumericalError(
+                f"the shifted Arnoldi run left e0 = {fit.e0:.6e} V/m unsolved after "
+                f"{fit.steps} of at most {ARNOLDI_MAX_STEPS} steps: least-squares "
+                f"residual {fit.residual:.3e}, tolerance {ARNOLDI_RTOL:.0e}"
+            )
+        yield _checked_state(np.asarray(fit.y) @ solved[: len(fit.y)], generator, fit.e0)
 
 
 # computational relabeling (q1,q2)-major {gg, ge, eg, ee} -> {gg, eg, ge, ee}

@@ -68,7 +68,7 @@ def steady_state_full(system) -> np.ndarray:
     state for a scalar e0 and a (B, dim, dim) stack otherwise.  The budget
     check counts the B held states."""
     count = np.size(system.e0)
-    system.cfg.check_budget(count)
+    system.cfg.check_budget(count, count)
     states = np.empty((count, system.cfg.dim, system.cfg.dim), dtype=complex)
     for k, rho in enumerate(fullmodel.iter_steady_states(system)):
         states[k] = rho

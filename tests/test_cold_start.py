@@ -59,7 +59,8 @@ code = plasmarray.cli.main(["validate", "--set", "geometry.n=1",
 assert code == 0, code
 print({_LOADED})
 """)
-    assert "scipy.sparse.linalg" in loaded
+    assert "scipy.linalg" in loaded
+    assert "scipy.sparse.linalg" not in loaded
     assert len(Path(out).read_text().splitlines()) == 3
 
 

@@ -1,6 +1,7 @@
 """Explicit-mode (Fock space) simulation and its agreement with the
 effective model."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,13 @@ import scipy.sparse.linalg as spla
 from plasmarray import (
     ArrayGeometry,
     DomainError,
+    DrudeMetal,
     FockConfig,
+    HostMedium,
     MemoryBudgetError,
     QdParams,
     concurrence,
+    derive_material,
     drive_rates,
     validate_against_effective,
 )
@@ -33,12 +37,26 @@ from _lindblad import (
     steady_state_full,
     trace_constrained,
 )
-from conftest import GAMMA_I, GAP, R_MNP, R_QD
+from conftest import EPS_INF, EPS_M, GAMMA_I, GAMMA_P_EV, GAP, OMEGA_P_EV, R_MNP, R_QD
 
 
 def _drive(material, qd, intensity_w_cm2, phi=0.0):
     return drive_rates(np.asarray(intensity_w_cm2) * W_CM2_TO_W_M2, material, qd,
                        material.omega_0, phi)
+
+
+def _hermitian_parts(x):
+    """H and K, both Hermitian, with x = H + i K."""
+    return 0.5 * (x + x.conj().T), 0.5j * (x.conj().T - x)
+
+
+@pytest.fixture(scope="session")
+def narrow_material():
+    """The reference particles without radiative damping (gamma_0 =
+    gamma_nr): the narrow-linewidth regime, where the Arnoldi run is
+    longest."""
+    metal = DrudeMetal.from_ev(OMEGA_P_EV, EPS_INF, GAMMA_P_EV)
+    return derive_material(metal, HostMedium(EPS_M), R_MNP, include_radiative=False)
 
 
 def _hamiltonian(system):
@@ -86,31 +104,6 @@ def _reference_hamiltonian(geom, material, qd, drive, cfg):
     h = h - bc.g * (s1.getH() @ modes[0] + s1 @ modes[0].getH())
     h = h - bc.g * (s2.getH() @ modes[-1] + s2 @ modes[-1].getH())
     return h.tocsr()
-
-
-class _CountingSolvers:
-    """Stands in for scipy.sparse.linalg inside fullmodel and counts LGMRES
-    calls.
-
-    fail_lgmres(k) decides whether the k-th LGMRES call (from 1) reports
-    non-convergence (info = 1) instead of running.
-    """
-
-    def __init__(self, fail_lgmres=lambda k: False):
-        self.calls = {"lgmres": 0}
-        self._fail_lgmres = fail_lgmres
-
-    def __getattr__(self, name):
-        return getattr(spla, name)
-
-    def lgmres(self, a, b, **kwargs):
-        self.calls["lgmres"] += 1
-        if self._fail_lgmres(self.calls["lgmres"]):
-            return np.zeros_like(b), 1
-        return spla.lgmres(a, b, **kwargs)
-
-
-NO_SOLVER_CALLS = {"lgmres": 0}
 
 
 # --------------------------------------------------------------------------
@@ -201,15 +194,20 @@ def test_memory_budget_refusal(material, qd_resonant, geometry):
     assert "GiB" in str(err.value)
 
 
-@pytest.mark.parametrize("n, nlev", [(1, 4), (2, 4), (3, 3), (3, 4)])
-def test_memory_estimate_bounds_the_assembled_solve(material, qd_resonant, geometry,
-                                                    n, nlev):
+@pytest.mark.parametrize("n, nlev, radiative", [
+    (1, 4, True), (2, 4, True), (3, 3, True), (3, 4, True),
+    # the longest Arnoldi run of the default intensity range
+    (1, 4, False),
+], ids=["1-4", "2-4", "3-3", "3-4", "1-4-without-radiative-damping"])
+def test_memory_estimate_bounds_the_assembled_solve(material, narrow_material, geometry,
+                                                    n, nlev, radiative):
     """The budget estimate for one held state covers the tracemalloc peak
     of iter_steady_states over a case: the generator, the sector inverse,
-    the Arnoldi vectors and the checked states."""
+    the Arnoldi vectors, the least-squares fits and the checked states."""
+    mat = material if radiative else narrow_material
+    qd = QdParams.at_resonance(mat, R_QD, GAMMA_I)
     cfg = FockConfig(n=n, fock_levels=nlev)
-    system = build_full_system(geometry(n), material, qd_resonant,
-                               _drive(material, qd_resonant, [0.5, 20.0, 80.0]), cfg)
+    system = build_full_system(geometry(n), mat, qd, _drive(mat, qd, [0.5, 20.0, 80.0]), cfg)
     tracemalloc.start()
     try:
         for _ in fullmodel.iter_steady_states(system):
@@ -217,7 +215,7 @@ def test_memory_estimate_bounds_the_assembled_solve(material, qd_resonant, geome
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= cfg.estimated_solve_bytes(states=1)
+    assert peak <= cfg.estimated_solve_bytes(states=1, amplitudes=3)
 
 
 def test_level_sizes_count_the_basis():
@@ -402,9 +400,10 @@ def _detuned_pair(material):
 
 @pytest.mark.parametrize("n, nlev", [(1, 4), (2, 3), (3, 3)])
 def test_operator_form_matches_the_superoperator(material, geometry, n, nlev):
-    """The matrix-free L_0 and L_1 applied to a random non-Hermitian rho
-    equal the assembled superoperators' products, and the scale of the
-    trace-constrained systems is L_0's largest entry."""
+    """The matrix-free L_0 and L_1, applied to the Hermitian and
+    anti-Hermitian parts of a random non-Hermitian rho, equal the assembled
+    superoperators' products, and the scale of the trace-constrained
+    systems is L_0's largest entry."""
     qd = _detuned_pair(material)
     cfg = FockConfig(n=n, fock_levels=nlev)
     system = build_full_system(geometry(n), material, qd, _drive(material, qd, 1.5, 0.7), cfg)
@@ -412,17 +411,18 @@ def test_operator_form_matches_the_superoperator(material, geometry, n, nlev):
     l_0, l_1 = case_generators(system)
     rng = np.random.default_rng(n * 10 + nlev)
     rho = rng.standard_normal((cfg.dim, cfg.dim)) + 1j * rng.standard_normal((cfg.dim, cfg.dim))
-    for apply, l_op in ((lambda h: generator.apply(h, 0.0), l_0), (generator.drive, l_1)):
+    h, k = _hermitian_parts(rho)
+    for apply, l_op in ((lambda x: generator.apply(x, 0.0), l_0), (generator.drive, l_1)):
         ref = l_op @ rho.ravel()
-        out = fullmodel._by_parts(apply, rho).ravel()
+        out = (apply(h) + 1j * apply(k)).ravel()
         assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
     assert generator.scale == pytest.approx(float(np.max(np.abs(l_0.data))), rel=1e-15)
 
 
 @pytest.mark.parametrize("n, nlev", [(1, 4), (2, 3), (2, 4), (3, 3)])
 def test_sector_inverse_reproduces_v(material, geometry, n, nlev):
-    """A_0 z = v for a random complex v (Hermitian and anti-Hermitian parts
-    both present) and for its Hermitian part, to a normwise backward error
+    """A_0 z = v for a random complex v (solved as its Hermitian and
+    anti-Hermitian parts) and for its Hermitian part, to a normwise backward error
     ||A_0 z - v|| / (||A_0|| ||z|| + ||v||) within 1e-13.  A random v
     excites the slowest decays, so ||z|| reaches ~1e7 ||v|| and even a
     dense LU leaves ||A_0 z - v|| ~ 1e-10 ||v|| at (1, 4)."""
@@ -435,8 +435,10 @@ def test_sector_inverse_reproduces_v(material, geometry, n, nlev):
     rng = np.random.default_rng(n * 10 + nlev)
     v = rng.standard_normal(cfg.dim**2) + 1j * rng.standard_normal(cfg.dim**2)
     m = v.reshape(cfg.dim, cfg.dim)
-    for rhs in (v, (m + m.conj().T).ravel()):
-        z = inverse.solve(rhs)
+    h, k = _hermitian_parts(m)
+    for rhs, z in ((v, inverse.solve(h) + 1j * inverse.solve(k)),
+                   ((m + m.conj().T).ravel(), inverse.solve(m + m.conj().T))):
+        z = z.ravel()
         scale = spla.norm(a_0) * np.linalg.norm(z) + np.linalg.norm(rhs)
         assert np.linalg.norm(a_0 @ z - rhs) <= 1e-13 * scale
         if cfg.dim**2 <= 1296:
@@ -463,10 +465,9 @@ def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
 
 
 def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypatch):
-    """One case over four intensities: no LGMRES call and no
-    scipy.sparse.kron call at all (so no superoperator is assembled), and
-    the same concurrence as a separate solve (own system, own run) per
-    point."""
+    """One case over four intensities: no scipy.sparse.kron call at all
+    (so no superoperator is assembled), and the same concurrence as a
+    separate solve (own system, own run) per point."""
 
     def no_kron(*args, **kwargs):
         raise AssertionError("scipy.sparse.kron called while solving a case")
@@ -474,29 +475,15 @@ def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypat
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=4)
     intensities = (0.0, 0.5, 1.5, 3.0)
-    solvers = _CountingSolvers()
-    monkeypatch.setattr(fullmodel, "spla", solvers)
     monkeypatch.setattr(scipy.sparse, "kron", no_kron)
     table = validate_against_effective(
         geometry(2), material, qd, cfg, [i * W_CM2_TO_W_M2 for i in intensities]
     )
-    assert solvers.calls == NO_SOLVER_CALLS
     for intensity, row in zip(intensities, table.rows):
         fresh = _fresh_c_full(material, geometry, qd, cfg, intensity)
         assert abs(row.c_full - fresh) <= 1e-10
         if intensity > 0:
             assert row.c_full > 0.01
-
-
-def _assert_solves_case(system, states, clean, cfg):
-    """Each state passes its own residual check and matches the clean
-    solve's concurrence within 1e-10."""
-    l_0, l_1 = case_generators(system)
-    for e0, rho, ref in zip(system.e0, states, clean):
-        l_op = l_0 + e0 * l_1
-        assert np.linalg.norm(l_op @ rho.ravel()) <= 1e-8 * spla.norm(l_op)
-        assert abs(concurrence(reduce_to_qubits(rho, cfg))
-                   - concurrence(reduce_to_qubits(ref, cfg))) <= 1e-10
 
 
 def _three_point_case(material, geometry):
@@ -507,61 +494,77 @@ def _three_point_case(material, geometry):
     return system, cfg
 
 
-@pytest.mark.parametrize("constant, value", [
+@pytest.mark.parametrize("constant, value, message", [
     # the run stops before any intensity converges
-    ("ARNOLDI_MAX_STEPS", 2),
+    ("ARNOLDI_MAX_STEPS", 2, "unsolved after 2 of at most 2 steps"),
     # every intensity stops at the first step, and its state then fails
     # the residual check
-    ("ARNOLDI_RTOL", 1.0),
+    ("ARNOLDI_RTOL", 1.0, "steady-state residual"),
 ], ids=["max-steps-2", "loose-arnoldi-tolerance"])
-def test_unsolved_amplitudes_fall_back_per_point(material, geometry, monkeypatch,
-                                                 constant, value):
-    """Each point the Arnoldi run leaves unsolved or wrong is solved on its
-    own: one LGMRES call preconditioned by the exact inverse."""
-    system, cfg = _three_point_case(material, geometry)
-    clean = steady_state_full(system)
-    solvers = _CountingSolvers()
-    monkeypatch.setattr(fullmodel, "spla", solvers)
-    monkeypatch.setattr(fullmodel, constant, value)
-    states = steady_state_full(system)
-    assert solvers.calls == {"lgmres": 3}
-    _assert_solves_case(system, states, clean, cfg)
-
-
-@pytest.mark.parametrize("fail, calls", [
-    # LGMRES with the case's exact inverse solves the first point and
-    # fails on the second
-    (lambda k: k > 1, 2),
-    # LGMRES never converges: the first point fails
-    (lambda k: True, 1),
-], ids=["first-factor-goes-stale", "lgmres-never-converges"])
-def test_failed_shared_factor_escalates(material, geometry, monkeypatch, fail, calls):
-    """With ARNOLDI_MAX_STEPS = 2 every point falls back to LGMRES; the
-    first point whose LGMRES does not converge raises NumericalError."""
+def test_unsolved_amplitude_raises(material, geometry, monkeypatch, constant, value,
+                                   message):
+    """An amplitude the Arnoldi run leaves unsolved, or whose state fails
+    the residual check, raises NumericalError naming its e0 (the first
+    of the grid)."""
     system, _ = _three_point_case(material, geometry)
-    solvers = _CountingSolvers(fail)
-    monkeypatch.setattr(fullmodel, "spla", solvers)
-    monkeypatch.setattr(fullmodel, "ARNOLDI_MAX_STEPS", 2)
-    with pytest.raises(NumericalError, match="LGMRES did not converge"):
+    monkeypatch.setattr(fullmodel, constant, value)
+    with pytest.raises(NumericalError, match=re.escape(message)) as err:
         steady_state_full(system)
-    assert solvers.calls == {"lgmres": calls}
+    assert f"e0 = {system.e0[0]:.6e} V/m" in str(err.value)
 
 
-def test_counter_rotating_term_raises(material, geometry, monkeypatch):
+def test_singular_shifted_system_is_left_unsolved():
+    """I + e0 H singular at the first column (h_00 = 1, h_10 = 0, e0 = -1):
+    the amplitude is done with no coefficients."""
+    fit = fullmodel._ShiftedLeastSquares(-1.0)
+    assert fit.add([1.0, 0.0])
+    assert fit.y is None
+    assert (fit.steps, fit.residual) == (1, 1.0)
+
+
+def test_narrow_linewidth_case_is_solved_by_one_arnoldi_run(narrow_material, geometry,
+                                                            monkeypatch):
+    """Without radiative damping the n = 1, N = 4 case at +/-80 gamma_i
+    needs more Arnoldi steps from ~50 W/cm^2 on; the one run still solves
+    every fourth intensity of the default grid with no LGMRES, each
+    c_full within 1e-10 of a dense solve of the assembled trace-constrained
+    system."""
+
+    def no_lgmres(*args, **kwargs):
+        raise AssertionError("scipy.sparse.linalg.lgmres called")
+
+    monkeypatch.setattr(spla, "lgmres", no_lgmres)
+    mat = narrow_material
+    qd = QdParams.at_resonance(mat, R_QD, GAMMA_I, 80.0 * GAMMA_I, -80.0 * GAMMA_I)
+    cfg = FockConfig(n=1, fock_levels=4)
+    intensities = np.arange(1, 161)[::4] * 0.5
+    table = validate_against_effective(geometry(1), mat, qd, cfg,
+                                       (intensities * W_CM2_TO_W_M2).tolist())
+    system = build_full_system(geometry(1), mat, qd, _drive(mat, qd, intensities), cfg)
+    l_0, l_1 = case_generators(system)
+    scale = float(np.max(np.abs(l_0.data)))
+    rhs = np.zeros(cfg.dim**2, dtype=complex)
+    rhs[0] = 1.0
+    assert len(table.rows) == 40 and intensities[-1] == 78.5
+    for e0, row in zip(system.e0, table.rows):
+        a = trace_constrained(l_0 + e0 * l_1, cfg.dim, scale).toarray()
+        rho = np.linalg.solve(a, rhs).reshape(cfg.dim, cfg.dim)
+        ref = concurrence(reduce_to_qubits(0.5 * (rho + rho.conj().T), cfg))
+        assert abs(row.c_full - ref) <= 1e-10
+
+
+def test_counter_rotating_term_raises(material, geometry):
     """A counter-rotating exchange g (s_1^+ a^+ + s_1 a) breaks the
     excitation-number structure: the case has no exact inverse, and the
-    solve raises NumericalError before any LGMRES call."""
+    solve raises NumericalError."""
     system, cfg = _three_point_case(material, geometry)
     s1 = site_operator(lowering(2), 0, cfg.dims)
     a_1 = site_operator(lowering(cfg.fock_levels), 2, cfg.dims)
     g = bare_couplings(geometry(2), _detuned_pair(material), material).g
     system.h0 = (system.h0 + 0.1 * g * (s1.getH() @ a_1.getH() + s1 @ a_1)).tocsr()
     assert fullmodel._SectorInverse.of(fullmodel._Generator(system)) is None
-    solvers = _CountingSolvers()
-    monkeypatch.setattr(fullmodel, "spla", solvers)
     with pytest.raises(NumericalError, match="excitation number"):
         steady_state_full(system)
-    assert solvers.calls == NO_SOLVER_CALLS
 
 
 def test_state_does_not_depend_on_the_intensity_grid(material, geometry):
@@ -590,7 +593,7 @@ def test_validator_budget_counts_one_held_state(material, geometry):
     qd = _detuned_pair(material)
     intensities = (0.5, 1.5, 3.0)
     roomy = FockConfig(n=2, fock_levels=3)
-    one, stack = roomy.estimated_solve_bytes(1), roomy.estimated_solve_bytes(3)
+    one, stack = roomy.estimated_solve_bytes(1, 3), roomy.estimated_solve_bytes(3, 3)
     tight = FockConfig(n=2, fock_levels=3, memory_budget_bytes=(one + stack) // 2)
     table = validate_against_effective(geometry(2), material, qd, tight,
                                        [i * W_CM2_TO_W_M2 for i in intensities])
