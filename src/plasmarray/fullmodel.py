@@ -17,8 +17,9 @@ replaces the (0, 0) entry.  One validation case solves all its intensities
 in two stages.  First, the undriven generator has an exact and cheap
 inverse: h0 and every c^+ c conserve the total excitation number and each
 collapse operator lowers it by one, so in a basis sorted by that number the
-trace-constrained L_0 is block triangular, with one small Sylvester
-equation per pair of excitation levels (_SectorInverse).  Second, the
+trace-constrained L_0 is block triangular.  In the eigenbases of the
+per-level blocks of A each pair of excitation levels is then solved by one
+elementwise product (_SectorInverse).  Second, the
 shifted systems L_0 + e0 L_1 share one Krylov space of L_1 L_0^-1, so one
 Arnoldi run of ~10-50 steps solves every intensity of the case at once
 (Frommer & Glaessner, SIAM J. Sci. Comput. 19, 1998).  An intensity that
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import ztrsyl
 
 from .constants import HBAR
 from .effective import complex_pole, mediated_params
@@ -70,6 +70,10 @@ spla = None
 
 # a full-model steady state is accepted when ||L vec(rho)|| <= RESIDUAL_TOL ||L||
 RESIDUAL_TOL = 1e-8
+# the sector inverse works in per-level eigenbases V_k, which amplify
+# rounding by up to cond(V_k)^2; a level with ||V_k||_1 ||V_k^-1||_1 above
+# this bound, where cond^2 eps would reach RESIDUAL_TOL, is refused
+MAX_EIGENBASIS_COND = math.sqrt(RESIDUAL_TOL / np.finfo(float).eps)
 # the shifted Arnoldi run: an amplitude is solved once its least-squares
 # residual is within ARNOLDI_RTOL (|e_0| = 1); the run ends by
 # ARNOLDI_MAX_STEPS at the latest
@@ -129,30 +133,37 @@ class FockConfig:
         dim x dim arrays and a few sparse dim x dim operators.  The sparse
         ones: the n + 2 lowering operators (one entry per row each), h0 and
         A (at most 2n + 3 per row each: the diagonal, two per hopping pair
-        and two per dot), h1 and D = -i h1 (two per site each).  The dense ones: the blocks
-        of the sector inverse (per excitation level of size d_k the Schur
-        form, its basis and their adjoints and a dense block of A; per
-        level pair and channel the jump block in three layouts, and the
-        n + 3 dense operators they are cut from); the 2 ARNOLDI_MAX_STEPS
-        + 1 Arnoldi vectors; the working matrices of the inverse, of one
-        application of the generator and of the Hermitisation; and the held
-        states: one for iter_steady_states, whose caller reduces each state
-        before the next is solved.  Beside them, each amplitude keeps a
-        least-squares fit of up to ARNOLDI_MAX_STEPS steps in Python floats
+        and two per dot), h1 and D = -i h1 (two per site each).  The sector
+        inverse keeps, per excitation level of size d_k, its eigenbasis
+        V_k, V_k^-1 and their adjoints; per level pair k >= l the d_k d_l
+        inverse diagonal; per adjacent level pair and channel the jump
+        block in two layouts; and a one-byte dim x dim mask.  Beside these,
+        the solve runs in two phases, and the larger one is counted.  While
+        the inverse is built (_SectorInverse.of) it holds the n + 3 dense
+        dim x dim operators its blocks are cut from, two more dim x dim
+        transients and a third layout of the jump blocks.  These are freed
+        before the shifted Arnoldi run, which holds its 2 ARNOLDI_MAX_STEPS
+        + 1 vectors, the working matrices of the inverse, of one
+        application of the generator and of the Hermitisation, the held
+        states (one for iter_steady_states, whose caller reduces each state
+        before the next is solved) and, per amplitude, a least-squares fit
+        of up to ARNOLDI_MAX_STEPS steps in Python floats
         (_ShiftedLeastSquares).
         """
         rows = self.dim**2
         sizes = _level_sizes(self.n, self.fock_levels)
         channels = self.n + 2
         nnz = (9 * self.n + 16) * self.dim
-        blocks = (4 * int(np.sum(sizes**2))
-                  + 3 * channels * int(np.sum(sizes[:-1] * sizes[1:]))
-                  + (channels + 1) * rows)
-        vectors = 2 * ARNOLDI_MAX_STEPS + 1 + _WORK_VECTORS + states
+        pairs = int(np.sum(sizes[:-1] * sizes[1:]))
+        inverse = (4 * int(np.sum(sizes**2)) + (rows + int(np.sum(sizes**2))) // 2
+                   + 2 * channels * pairs + rows // _BYTES_PER_VALUE)
+        build = (channels + 3) * rows + channels * pairs
         m = ARNOLDI_MAX_STEPS
         fits = amplitudes * (m * (m + 1) // 2 + 8 * m)
-        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * (blocks + vectors * rows)
-                   + _BYTES_PER_PY_FLOAT * fits)
+        run = ((2 * m + 1 + _WORK_VECTORS + states) * rows * _BYTES_PER_VALUE
+               + _BYTES_PER_PY_FLOAT * fits)
+        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * inverse
+                   + max(_BYTES_PER_VALUE * build, run))
 
     def check_budget(self, states: int, amplitudes: int) -> None:
         est = self.estimated_solve_bytes(states, amplitudes)
@@ -221,33 +232,47 @@ def build_full_system(
     if cfg.n != geom.n:
         raise DomainError(f"Fock config n={cfg.n} does not match geometry n={geom.n}")
     cfg.check_budget(1, np.size(drive.e0))
-    sites = range(cfg.n + 2)
-    lower = [_lowering(cfg.dims, site) for site in sites]
+    dims, sites = cfg.dims, range(cfg.n + 2)
+    occupation = [_occupation(dims, site) for site in sites]
+    stride = [math.prod(dims[site + 1:]) for site in sites]
+    states = np.arange(cfg.dim)
 
     couplings = bare_couplings(geom, qd, mat)
     pole = complex_pole(mat, qd, drive.omega)
 
     detuning = [pole.detuning_1, pole.detuning_2] + [pole.detuning_0] * cfg.n
-    h0 = sp.diags(sum(d * _occupation(cfg.dims, site) for d, site in zip(detuning, sites)))
+    h0 = [(states, states, sum(d * m for d, m in zip(detuning, occupation)))]
     # (rate, k, l): -rate (c_k^+ c_l + h.c.) between neighbouring modes and
-    # between each dot and its end mode
+    # between each dot and its end mode; c_k^+ c_l moves state j, with
+    # m_l > 0 and m_k below the cut-off, to j + stride_k - stride_l
     exchange = [(couplings.kappa, 2 + m, 3 + m) for m in range(cfg.n - 1)]
     exchange += [(couplings.g, 0, 2), (couplings.g, 1, cfg.n + 1)]
     for rate, k, l in exchange:
-        hop = lower[k].getH() @ lower[l]
-        h0 = h0 - rate * (hop + hop.getH())
+        j = np.flatnonzero((occupation[l] > 0) & (occupation[k] < dims[k] - 1))
+        i = j + stride[k] - stride[l]
+        hop = -rate * (np.sqrt(occupation[k][j] + 1) * np.sqrt(occupation[l][j]))
+        h0 += [(i, j, hop), (j, i, hop)]
 
     lambda_1 = qd.mu_qd / HBAR
     rates = [lambda_1, lambda_1 * complex(math.cos(drive.phi), math.sin(drive.phi))]
     rates += [mat.mu_mnp / HBAR] * cfg.n
-    h1 = sp.csr_matrix((cfg.dim, cfg.dim), dtype=complex)
-    for rate, c in zip(rates, lower):
-        h1 = h1 - (rate * c.getH() + np.conj(rate) * c)
+    # -(rate c^+ + conj(rate) c), with c j = sqrt(m) (j - stride)
+    h1 = []
+    for rate, m, s in zip(rates, occupation, stride):
+        j = np.flatnonzero(m)
+        root = np.sqrt(m[j])
+        h1 += [(j, j - s, -(rate * root)), (j - s, j, -(np.conj(rate) * root))]
 
     collapse = [(qd.gamma_i, 0), (qd.gamma_i, 1)]
     collapse += [(mat.gamma_0, 2 + m) for m in range(cfg.n)]
-    return FullSystem(cfg=cfg, h0=h0.tocsr(), h1=h1.tocsr(), e0=drive.e0,
+    return FullSystem(cfg=cfg, h0=_csr(h0, cfg.dim), h1=_csr(h1, cfg.dim), e0=drive.e0,
                       collapse=collapse)
+
+
+def _csr(entries: list, dim: int) -> sp.csr_matrix:
+    """The complex dim x dim matrix with the (rows, cols, values) entries."""
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
+    return sp.csr_matrix((values.astype(complex), (rows, cols)), shape=(dim, dim))
 
 
 class _Generator:
@@ -331,36 +356,70 @@ class _SectorInverse:
     In a basis sorted by excitation number, L_0 therefore maps the (k, l)
     block of rho onto itself as A_k X + X A_l^+, with
     A = -i h0 - 1/2 sum gamma c^+ c, and onto the (k-1, l-1) block through
-    the jumps.  A_0 z = v is solved block by block in order of decreasing
-    k + l: one triangular Sylvester solve (ztrsyl) per block in the Schur
-    bases of the A_k, after subtracting the jumps out of the solved
-    (k+1, l+1) block.  The (0, 0) entry, whose Sylvester block is exactly
-    0, comes from the trace row.  A_0 maps Hermitian matrices to Hermitian
-    ones, and `solve` takes Hermitian ones alone (the Arnoldi vectors), so
-    it solves only the blocks with k >= l and mirrors the rest.
+    the jumps.  Each level block is diagonalised,
+    A_k = V_k diag(lambda_k) V_k^-1, and rho is written as X = V Y V^+
+    with V = diag(V_k): this congruence keeps Hermitian matrices Hermitian
+    and maps each jump c to V_k^-1 c V_k+1.  There the (k, l) block map is
+    Y -> Y * (lambda_k,i + conj(lambda_l,j)) elementwise, so A_0 z = v is
+    solved one row of blocks (k, 0..k) at a time from the top level down:
+    subtract the jumps out of the solved blocks (k+1, l+1), then one
+    elementwise product by the precomputed inverse of that factor.  A_0 maps
+    Hermitian matrices to Hermitian ones, and `solve` takes Hermitian ones
+    alone (the Arnoldi vectors), so it solves only the blocks with k >= l
+    and mirrors the rest.  The (0, 0) entry, whose block equation is
+    exactly 0, comes from the trace row once X is back in the sorted
+    basis; the ground level is one state with V_0 = 1, so that is exact.
+
+    V is not unitary, so each level's eigenbasis must be well conditioned:
+    `of` refuses a level whose ||V_k||_1 ||V_k^-1||_1 exceeds
+    MAX_EIGENBASIS_COND (a defective or nearly defective A_k, such as an
+    exceptional point of a dot and a mode).
     """
 
-    def __init__(self, order, level, schur_t, schur_q, jumps, scale):
-        self._dim = len(order)
+    def __init__(self, order, level, eigenvalues, bases, inverses, jumps, scale):
         self._sorted = np.ix_(order, order)
         self._upper = level[:, None] < level
         bounds = np.searchsorted(level, np.arange(level[-1] + 2))
-        self._slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self._t = schur_t
-        self._q = schur_q
-        self._qh = [q.conj().T for q in schur_q]
-        # the jumps out of level k + 1 into level k, in the Schur bases, as
-        # (vcat_c B_c, vcat_c B_c^+) with B_c = Q_k^+ sqrt(gamma_c) c Q_k+1
-        self._down = [np.concatenate(b) for b in jumps]
-        self._up = [np.concatenate([b_c.conj().T for b_c in b]) for b in jumps]
-        self._channels = len(jumps[0]) if jumps else 0
+        slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # the congruence touches only the blocks with k >= l: for each
+        # excited level its row strip and column strip of that half
+        strips = [((s, slice(0, s.stop)), (slice(s.start, None), s)) for s in slices[1:]]
+        self._into = [(rows, w, cols, w.conj().T) for (rows, cols), w in zip(strips, inverses[1:])]
+        self._out = [(rows, b, cols, b.conj().T) for (rows, cols), b in zip(strips, bases[1:])]
+        # one entry per excited level k, from the top down: (row k of the
+        # k >= l half, jump, 1 / (lambda_k,i + conj(lambda_j)) over it).
+        # The jumps into row k come out of row k + 1: with B_c,k =
+        # V_k^-1 sqrt(gamma_c) c V_k+1, one product vcat_c B_c,k @ row k+1
+        # gives every B_c,k Y_k+1,l+1; regrouped so that each level l + 1
+        # spans all channels, one product per block with B_c,l^+ stacked to
+        # match sums them.  jump is None on the top level and otherwise
+        # (source row, vcat_c B_c,k, [(columns of level l, span, up_l)]).
+        channels = len(jumps[0])
+        ups = [np.stack([b_c.conj().T for b_c in b], axis=1).reshape(-1, b[0].shape[0])
+               for b in jumps]
+        lam = np.concatenate(eigenvalues)
+        top, first = len(slices) - 1, slices[1].start
+        self._rows = []
+        for k in range(top, 0, -1):
+            row = (slices[k], slice(0, slices[k].stop))
+            den = 1.0 / (eigenvalues[k][:, None] + lam[: slices[k].stop].conj())
+            jump = None
+            if k < top:
+                blocks = [(slices[l], slice(channels * (slices[l + 1].start - first),
+                                            channels * (slices[l + 1].stop - first)), ups[l])
+                          for l in range(k + 1)]
+                jump = ((slices[k + 1], slice(first, slices[k + 1].stop)),
+                        np.concatenate(jumps[k]), blocks)
+            self._rows.append((row, jump, den))
+        self._channels = channels
         self._scale = scale
 
     @classmethod
     def of(cls, generator: _Generator):
         """The inverse of `generator`'s trace-constrained L_0, or None when
-        h0 breaks the excitation-number structure or a level above the
-        ground state has an undamped mode."""
+        h0 breaks the excitation-number structure, or a level above the
+        ground state has an undamped mode or is not diagonalisable to
+        working accuracy."""
         levels = np.indices(generator.dims).sum(0).ravel()
         order = np.argsort(levels, kind="stable")
         level = levels[order]
@@ -371,45 +430,45 @@ class _SectorInverse:
         channels = [np.sqrt(rate) * _lowering(generator.dims, site).toarray()[basis]
                     for rate, site in generator.collapse]
         bounds = np.searchsorted(level, np.arange(level[-1] + 2))
-        schur_t, schur_q = [], []
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            t, q = sla.schur(a_op[lo:hi, lo:hi], output="complex")
-            if k and np.max(t.diagonal().real) >= 0.0:
+        one = np.ones((1, 1), dtype=complex)
+        eigenvalues, bases, inverses = [np.zeros(1, dtype=complex)], [one], [one]
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            lam, v = sla.eig(a_op[lo:hi, lo:hi])
+            try:
+                w = np.linalg.inv(v)
+            except np.linalg.LinAlgError:
                 return None
-            schur_t.append(t)
-            schur_q.append(q)
-        jumps = [[schur_q[k].conj().T @ c[lo:mid, mid:hi] @ schur_q[k + 1]
-                  for c in channels]
+            cond = np.abs(v).sum(0).max() * np.abs(w).sum(0).max()
+            if np.max(lam.real) >= 0.0 or not cond <= MAX_EIGENBASIS_COND:
+                return None
+            eigenvalues.append(lam)
+            bases.append(v)
+            inverses.append(w)
+        jumps = [[inverses[k] @ c[lo:mid, mid:hi] @ bases[k + 1] for c in channels]
                  for k, (lo, mid, hi) in enumerate(zip(bounds[:-2], bounds[1:-1],
                                                        bounds[2:]))]
-        return cls(order, level, schur_t, schur_q, jumps, generator.scale)
+        return cls(order, level, eigenvalues, bases, inverses, jumps, generator.scale)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Z with A_0 vec(Z) = vec(V) for a Hermitian dim x dim V."""
         x = v[self._sorted] * self._scale
-        slices, q, qh = self._slices, self._q, self._qh
-        for s, qh_k in zip(slices, qh):
-            x[s] = qh_k @ x[s]
-        for s, q_l in zip(slices, q):
-            x[:, s] = x[:, s] @ q_l
-        top, channels = len(slices) - 1, self._channels
-        for total in range(2 * top, 0, -1):
-            for k in range((total + 1) // 2, min(top, total) + 1):
-                l = total - k
-                rows, cols = slices[k], slices[l]
-                rhs = x[rows, cols]
-                if k < top:
-                    inner = self._down[k] @ x[slices[k + 1], slices[l + 1]]
-                    inner = inner.reshape(channels, -1, inner.shape[1]).transpose(1, 0, 2)
-                    rhs = rhs - inner.reshape(rhs.shape[0], -1) @ self._up[l]
-                y, sc, _ = ztrsyl(self._t[k], self._t[l], rhs, tranb="C")
-                x[rows, cols] = y if sc == 1.0 else y / sc
-        x[0, 0] = v[0, 0] - np.trace(x[1:, 1:])
+        for rows, w, cols, w_h in self._into:
+            x[rows] = w @ x[rows]
+            x[cols] = x[cols] @ w_h
+        for row, jump, den in self._rows:
+            y = x[row]
+            if jump is not None:
+                source, down, blocks = jump
+                p = (down @ x[source]).reshape(self._channels, len(y), -1)
+                p = p.transpose(1, 2, 0).reshape(len(y), -1)
+                for cols, span, up in blocks:
+                    y[:, cols] -= p[:, span] @ up
+            y *= den
+        for rows, b, cols, b_h in self._out:
+            x[rows] = b @ x[rows]
+            x[cols] = x[cols] @ b_h
         np.copyto(x, x.conj().T, where=self._upper)
-        for s, q_k in zip(slices, q):
-            x[s] = q_k @ x[s]
-        for s, qh_l in zip(slices, qh):
-            x[:, s] = x[:, s] @ qh_l
+        x[0, 0] = v[0, 0] - np.trace(x[1:, 1:])
         z = np.empty_like(x)
         z[self._sorted] = x
         return z
@@ -419,7 +478,9 @@ class _ShiftedLeastSquares:
     """min || e_1 - (I + e0 H) y || for one drive amplitude, kept by Givens
     rotations as the shared Arnoldi run adds columns of its (real)
     Hessenberg matrix H.  Plain Python arithmetic, so an amplitude's y
-    depends on e0 and the columns alone, never on the rest of the grid."""
+    depends on e0 and the columns alone, never on the rest of the grid.
+    Once the amplitude is done the factor is dropped, and only `steps`,
+    `residual` and `y` are kept."""
 
     def __init__(self, e0: float):
         self.e0 = e0
@@ -428,11 +489,7 @@ class _ShiftedLeastSquares:
         self.g = [1.0]
         self.y = None
         self.steps = 0  # columns taken
-
-    @property
-    def residual(self) -> float:
-        """The least-squares residual after the last column solved."""
-        return abs(self.g[-1])
+        self.residual = 1.0  # of the least squares, after the last column solved
 
     def add(self, column: list) -> bool:
         """Take Arnoldi column j (h_0j .. h_j+1,j).  True once this amplitude
@@ -446,20 +503,25 @@ class _ShiftedLeastSquares:
             col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
         rho = math.hypot(col[j], e0 * column[-1])
         if rho == 0.0:
-            return True
+            return self._done(None)
         c, s = col[j] / rho, e0 * column[-1] / rho
         self.rotations.append((c, s))
         col[j] = rho
         self.r_columns.append(col)
         self.g.append(-s * self.g[j])
         self.g[j] *= c
-        if abs(self.g[-1]) > ARNOLDI_RTOL:
+        self.residual = abs(self.g[-1])
+        if self.residual > ARNOLDI_RTOL:
             return False
         y = [0.0] * (j + 1)
         for i in range(j, -1, -1):
             tail = sum(self.r_columns[m][i] * y[m] for m in range(i + 1, j + 1))
             y[i] = (self.g[i] - tail) / self.r_columns[i][i]
+        return self._done(y)
+
+    def _done(self, y) -> bool:
         self.y = y
+        self.rotations = self.r_columns = self.g = None
         return True
 
 
@@ -550,8 +612,9 @@ def iter_steady_states(system: FullSystem):
     as it is yielded.  Each state is validated against its own generator
     (||L vec(rho)|| <= RESIDUAL_TOL ||L||, through the bound of
     _checked_state and with ||L||_F from operator traces), Hermitised and
-    trace-checked.  Raises NumericalError when h0 breaks the
-    excitation-number structure, so that A_0 has no exact inverse, when
+    trace-checked.  Raises NumericalError when A_0 has no exact inverse
+    (h0 breaks the excitation-number structure, or an excited level has
+    an undamped mode or is not diagonalisable to working accuracy), when
     the run leaves an amplitude unsolved (ARNOLDI_MAX_STEPS reached, or
     I + e0 H singular), or when a state fails a check.
     """
@@ -560,7 +623,9 @@ def iter_steady_states(system: FullSystem):
     if inverse is None:
         raise NumericalError(
             "the undriven generator has no exact inverse: h0 does not conserve "
-            "the total excitation number, or an excited level has an undamped mode"
+            "the total excitation number, or an excited level has an undamped mode, "
+            "or an excited level is not diagonalisable to working accuracy "
+            f"(eigenbasis condition number over {MAX_EIGENBASIS_COND:.1e})"
         )
     fits, solved = _shifted_arnoldi(generator, inverse, np.ravel(system.e0).tolist())
     for fit in fits:

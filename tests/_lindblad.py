@@ -5,10 +5,15 @@ operators as chains of scipy.sparse.kron and the dim^2 x dim^2
 superoperator, vectorized row-major (vec(A rho B) = (A kron B^T) vec(rho)).
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from plasmarray import fullmodel
+from plasmarray.constants import HBAR
+from plasmarray.effective import complex_pole
+from plasmarray.plasmonics import bare_couplings
 
 
 def site_operator(op: np.ndarray, site: int, dims: tuple) -> sp.csr_matrix:
@@ -23,6 +28,30 @@ def site_operator(op: np.ndarray, site: int, dims: tuple) -> sp.csr_matrix:
 def lowering(d: int) -> np.ndarray:
     """The lowering operator of one site with d levels."""
     return np.diag(np.sqrt(np.arange(1, d)), k=1).astype(complex)
+
+
+def hamiltonians(geom, mat, qd, drive, cfg) -> tuple:
+    """h0 and h1 of fullmodel.build_full_system from kron-built site
+    operators: the detunings on number operators, -rate (c_k^+ c_l + h.c.)
+    for each hopping and dot-mode pair, and -(rate c^+ + conj(rate) c) for
+    each site's drive at unit field amplitude."""
+    dims = cfg.dims
+    lower = [site_operator(lowering(d), site, dims) for site, d in enumerate(dims)]
+    number = [site_operator(np.diag(np.arange(d, dtype=float)), site, dims)
+              for site, d in enumerate(dims)]
+    pole = complex_pole(mat, qd, drive.omega)
+    detuning = [pole.detuning_1, pole.detuning_2] + [pole.detuning_0] * cfg.n
+    h0 = sum(d * op for d, op in zip(detuning, number))
+    couplings = bare_couplings(geom, qd, mat)
+    exchange = [(couplings.kappa, 2 + m, 3 + m) for m in range(cfg.n - 1)]
+    exchange += [(couplings.g, 0, 2), (couplings.g, 1, cfg.n + 1)]
+    for rate, k, l in exchange:
+        h0 = h0 - rate * (lower[k].getH() @ lower[l] + lower[l].getH() @ lower[k])
+    lambda_1 = qd.mu_qd / HBAR
+    rates = [lambda_1, lambda_1 * complex(math.cos(drive.phi), math.sin(drive.phi))]
+    rates += [mat.mu_mnp / HBAR] * cfg.n
+    h1 = sum(-(rate * c.getH() + np.conj(rate) * c) for rate, c in zip(rates, lower))
+    return h0.tocsr(), h1.tocsr()
 
 
 def collapse_operators(system) -> list:

@@ -31,6 +31,7 @@ from plasmarray.plasmonics import bare_couplings
 from _lindblad import (
     case_generators,
     collapse_operators,
+    hamiltonians,
     liouvillian,
     lowering,
     site_operator,
@@ -173,6 +174,19 @@ def test_index_built_lowering_operators_equal_the_kron_built_ones():
             assert index_built.dtype == kron_built.dtype
             assert index_built.nnz == kron_built.nnz
             assert (index_built != kron_built).nnz == 0
+
+
+def test_index_built_hamiltonians_equal_the_kron_built_ones(material, geometry):
+    """h0 and h1, built by index arithmetic, equal the kron-built ones
+    entry for entry, with detuned dots and a drive phase."""
+    qd = QdParams.at_resonance(material, R_QD, GAMMA_I, 80.0 * GAMMA_I, -30.0 * GAMMA_I)
+    for n, nlev in [(1, 4), (2, 3), (3, 3)]:
+        cfg = FockConfig(n=n, fock_levels=nlev)
+        drive = _drive(material, qd, [0.5, 20.0], phi=0.7)
+        system = build_full_system(geometry(n), material, qd, drive, cfg)
+        h0, h1 = hamiltonians(geometry(n), material, qd, drive, cfg)
+        assert np.array_equal(system.h0.toarray(), h0.toarray())
+        assert np.array_equal(system.h1.toarray(), h1.toarray())
 
 
 def test_hamiltonian_is_hermitian(material, qd_resonant, geometry):
@@ -564,6 +578,24 @@ def test_counter_rotating_term_raises(material, geometry):
     system.h0 = (system.h0 + 0.1 * g * (s1.getH() @ a_1.getH() + s1 @ a_1)).tocsr()
     assert fullmodel._SectorInverse.of(fullmodel._Generator(system)) is None
     with pytest.raises(NumericalError, match="excitation number"):
+        steady_state_full(system)
+
+
+def test_defective_level_raises():
+    """A dot and a mode exchanging at g = (gamma_0 - gamma_i) / 4 sit at an
+    exceptional point: the level-1 block of A is defective, so its
+    eigenbasis is singular to working accuracy.  The sector inverse refuses
+    the case, and the solve raises NumericalError naming that cause."""
+    cfg = FockConfig(n=1, fock_levels=2)
+    gamma_i, gamma_0 = 1.0, 5.0
+    s1 = site_operator(lowering(2), 0, cfg.dims)
+    a_1 = site_operator(lowering(2), 2, cfg.dims)
+    h0 = -(gamma_0 - gamma_i) / 4 * (s1.getH() @ a_1 + s1 @ a_1.getH())
+    system = fullmodel.FullSystem(cfg=cfg, h0=h0.tocsr(), h1=-(s1 + s1.getH()).tocsr(),
+                                  e0=np.array([0.1]),
+                                  collapse=[(gamma_i, 0), (gamma_i, 1), (gamma_0, 2)])
+    assert fullmodel._SectorInverse.of(fullmodel._Generator(system)) is None
+    with pytest.raises(NumericalError, match="not diagonalisable to working accuracy"):
         steady_state_full(system)
 
 
