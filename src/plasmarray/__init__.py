@@ -9,9 +9,10 @@ through the concurrence.  An explicit Fock-space simulation of the full
 chain validates the effective model on small systems, and a CLI runs the
 named sweep experiments with CSV output.
 
-Only the explicit-mode validator needs scipy: `FockConfig` and
+The package needs numpy alone.  `FockConfig` and
 `validate_against_effective` load `plasmarray.fullmodel` on first access,
-so the effective-model pipeline imports numpy alone.
+which keeps that module's import off the start-up of the effective-model
+pipeline.
 """
 
 import importlib

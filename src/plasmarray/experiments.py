@@ -411,7 +411,7 @@ def run_validate(cfg: ExperimentConfig):
     A chain that exceeds the memory budget contributes a structured error
     row instead of aborting the whole run.
     """
-    # the explicit-mode model is the only scipy user; import it on demand
+    # the explicit-mode model serves this subcommand alone; import it on demand
     from .fullmodel import FockConfig, validate_against_effective
 
     mat = material_from(cfg)

@@ -12,6 +12,10 @@ and dissipators, L_1 the commutator with the unit-amplitude drive.  Both
 are applied to dim x dim matrices (_Generator), never assembled as
 dim^2 x dim^2 superoperators: L_0(rho) = A rho + rho A^+ + sum gamma c rho
 c^+ with A = -i h0 - 1/2 sum gamma c^+ c, and L_1(rho) = -i [h1, rho].
+Every operator is a handful of constant-offset bands of the product basis
+(h0: the diagonal and one pair per exchange; h1 and each lowering
+operator: the site strides), held as {offset: weights} with entry
+(i, i + offset) = weights[i], so the model runs on numpy alone.
 Vectors are dim x dim matrices read row-major, so the trace constraint
 replaces the (0, 0) entry.  One validation case solves all its intensities
 in two stages.  First, the undriven generator has an exact and cheap
@@ -37,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .constants import HBAR
 from .effective import complex_pole, mediated_params
@@ -80,7 +82,6 @@ MAX_EIGENBASIS_COND = math.sqrt(RESIDUAL_TOL / np.finfo(float).eps)
 ARNOLDI_RTOL = 1e-15
 ARNOLDI_MAX_STEPS = 128
 
-_BYTES_PER_NNZ = 28  # complex128 value + int32 index + row-pointer share
 _BYTES_PER_VALUE = 16  # complex128
 # dim x dim temporaries of one inverse application, one application of
 # L_0 + e0 L_1 (residual check) and one Hermitisation
@@ -130,18 +131,17 @@ class FockConfig:
         dim x dim states.
 
         The generator is applied to dim x dim matrices, so the solve holds
-        dim x dim arrays and a few sparse dim x dim operators.  The sparse
-        ones: the n + 2 lowering operators (one entry per row each), h0 and
-        A (at most 2n + 3 per row each: the diagonal, two per hopping pair
-        and two per dot), h1 and D = -i h1 (two per site each).  The sector
-        inverse keeps, per excitation level of size d_k, its eigenbasis
-        V_k, V_k^-1 and their adjoints; per level pair k >= l the d_k d_l
-        inverse diagonal; per adjacent level pair and channel the jump
-        block in two layouts; and a one-byte dim x dim mask.  Beside these,
-        the solve runs in two phases, and the larger one is counted.  While
-        the inverse is built (_SectorInverse.of) it holds the n + 3 dense
-        dim x dim operators its blocks are cut from, two more dim x dim
-        transients and a third layout of the jump blocks.  These are freed
+        dim x dim arrays and a few band operators of dim weights per band:
+        the n + 2 lowering operators (one band each), h0 and A (2n + 3
+        each: the diagonal and two per hopping pair and per dot), h1 and
+        D = -i h1 (two per site each).  The sector inverse keeps, per
+        excitation level of size d_k, its eigenbasis V_k, V_k^-1 and their
+        adjoints; per level pair k >= l the d_k d_l inverse diagonal; per
+        adjacent level pair and channel the jump block in two layouts; and
+        a one-byte dim x dim mask.  Beside these, the solve runs in two
+        phases, and the larger one is counted.  While the inverse is built
+        (_SectorInverse.of) it holds the level blocks A_k and a third
+        layout of the jump blocks, all cut from the bands.  These are freed
         before the shifted Arnoldi run, which holds its 2 ARNOLDI_MAX_STEPS
         + 1 vectors, the working matrices of the inverse, of one
         application of the generator and of the Hermitisation, the held
@@ -153,16 +153,17 @@ class FockConfig:
         rows = self.dim**2
         sizes = _level_sizes(self.n, self.fock_levels)
         channels = self.n + 2
-        nnz = (9 * self.n + 16) * self.dim
+        bands = 9 * self.n + 16
+        blocks = int(np.sum(sizes**2))
         pairs = int(np.sum(sizes[:-1] * sizes[1:]))
-        inverse = (4 * int(np.sum(sizes**2)) + (rows + int(np.sum(sizes**2))) // 2
+        inverse = (4 * blocks + (rows + blocks) // 2
                    + 2 * channels * pairs + rows // _BYTES_PER_VALUE)
-        build = (channels + 3) * rows + channels * pairs
+        build = blocks + channels * pairs
         m = ARNOLDI_MAX_STEPS
         fits = amplitudes * (m * (m + 1) // 2 + 8 * m)
         run = ((2 * m + 1 + _WORK_VECTORS + states) * rows * _BYTES_PER_VALUE
                + _BYTES_PER_PY_FLOAT * fits)
-        return int(_BYTES_PER_NNZ * nnz + _BYTES_PER_VALUE * inverse
+        return int(_BYTES_PER_VALUE * (bands * self.dim + inverse)
                    + max(_BYTES_PER_VALUE * build, run))
 
     def check_budget(self, states: int, amplitudes: int) -> None:
@@ -177,19 +178,20 @@ class FockConfig:
 
 @dataclass
 class FullSystem:
-    """Sparse Hamiltonian and collapse channels of the explicit model.
+    """Hamiltonian and collapse channels of the explicit model.
 
-    The Hamiltonian is h0 + e0 h1.  h0 holds the detunings, the mode
-    hopping and the dot-mode exchange; h1 is the drive at unit field
-    amplitude (1 V/m), since every drive rate is proportional to e0.  e0
-    is the drive's field amplitude (V/m): a scalar, or one per intensity.
-    Each collapse channel is sqrt(rate) times the lowering operator of one
-    site of cfg.dims (_lowering).
+    The Hamiltonian is h0 + e0 h1, each a band operator {offset: (dim,)
+    complex weights} with entry (i, i + offset) = weights[i].  h0 holds
+    the detunings, the mode hopping and the dot-mode exchange; h1 is the
+    drive at unit field amplitude (1 V/m), since every drive rate is
+    proportional to e0.  e0 is the drive's field amplitude (V/m): a
+    scalar, or one per intensity.  Each collapse channel is sqrt(rate)
+    times the lowering operator of one site of cfg.dims (_lowering).
     """
 
     cfg: FockConfig
-    h0: sp.csr_matrix
-    h1: sp.csr_matrix
+    h0: dict
+    h1: dict
     e0: np.ndarray
     collapse: list  # (rate, site) pairs
 
@@ -200,14 +202,28 @@ def _occupation(dims: tuple, site: int) -> np.ndarray:
     return np.arange(math.prod(dims)) // math.prod(dims[site + 1:]) % dims[site]
 
 
-def _lowering(dims: tuple, site: int) -> sp.csr_matrix:
+def _lowering(dims: tuple, site: int) -> dict:
     """The lowering operator of `site` in the ordered product space,
     c |.., m, ..> = sqrt(m) |.., m - 1, ..>: one band at the site's stride."""
-    occupation = _occupation(dims, site)
-    cols = np.flatnonzero(occupation)
-    return sp.csr_matrix((np.sqrt(occupation[cols]).astype(complex),
-                          (cols - math.prod(dims[site + 1:]), cols)),
-                         shape=(occupation.size,) * 2)
+    stride = math.prod(dims[site + 1:])
+    weights = np.zeros(math.prod(dims), dtype=complex)
+    weights[:-stride] = np.sqrt(_occupation(dims, site)[stride:])
+    return {stride: weights}
+
+
+def _add_band(bands: dict, dim: int, offset: int, rows: np.ndarray, values) -> None:
+    """Add `values` at entries (rows, rows + offset) of a dim x dim band
+    operator."""
+    bands.setdefault(offset, np.zeros(dim, dtype=complex))[rows] += values
+
+
+def _product(bands: dict, h: np.ndarray, out: np.ndarray, scale: complex = 1.0) -> None:
+    """out += scale B H for the band operator B: one sliced multiply-add
+    per band."""
+    dim = len(h)
+    for offset, weights in bands.items():
+        lo, hi = max(0, -offset), min(dim, dim - offset)
+        out[lo:hi] += (scale * weights[lo:hi])[:, None] * h[lo + offset:hi + offset]
 
 
 def build_full_system(
@@ -235,44 +251,38 @@ def build_full_system(
     dims, sites = cfg.dims, range(cfg.n + 2)
     occupation = [_occupation(dims, site) for site in sites]
     stride = [math.prod(dims[site + 1:]) for site in sites]
-    states = np.arange(cfg.dim)
 
     couplings = bare_couplings(geom, qd, mat)
     pole = complex_pole(mat, qd, drive.omega)
 
     detuning = [pole.detuning_1, pole.detuning_2] + [pole.detuning_0] * cfg.n
-    h0 = [(states, states, sum(d * m for d, m in zip(detuning, occupation)))]
+    h0 = {0: sum(d * m for d, m in zip(detuning, occupation)).astype(complex)}
     # (rate, k, l): -rate (c_k^+ c_l + h.c.) between neighbouring modes and
     # between each dot and its end mode; c_k^+ c_l moves state j, with
-    # m_l > 0 and m_k below the cut-off, to j + stride_k - stride_l
+    # m_l > 0 and m_k below the cut-off, to i = j - (stride_l - stride_k)
     exchange = [(couplings.kappa, 2 + m, 3 + m) for m in range(cfg.n - 1)]
     exchange += [(couplings.g, 0, 2), (couplings.g, 1, cfg.n + 1)]
     for rate, k, l in exchange:
+        offset = stride[l] - stride[k]
         j = np.flatnonzero((occupation[l] > 0) & (occupation[k] < dims[k] - 1))
-        i = j + stride[k] - stride[l]
         hop = -rate * (np.sqrt(occupation[k][j] + 1) * np.sqrt(occupation[l][j]))
-        h0 += [(i, j, hop), (j, i, hop)]
+        _add_band(h0, cfg.dim, offset, j - offset, hop)
+        _add_band(h0, cfg.dim, -offset, j, hop)
 
     lambda_1 = qd.mu_qd / HBAR
     rates = [lambda_1, lambda_1 * complex(math.cos(drive.phi), math.sin(drive.phi))]
     rates += [mat.mu_mnp / HBAR] * cfg.n
     # -(rate c^+ + conj(rate) c), with c j = sqrt(m) (j - stride)
-    h1 = []
+    h1 = {}
     for rate, m, s in zip(rates, occupation, stride):
         j = np.flatnonzero(m)
         root = np.sqrt(m[j])
-        h1 += [(j, j - s, -(rate * root)), (j - s, j, -(np.conj(rate) * root))]
+        _add_band(h1, cfg.dim, -s, j, -(rate * root))
+        _add_band(h1, cfg.dim, s, j - s, -(np.conj(rate) * root))
 
     collapse = [(qd.gamma_i, 0), (qd.gamma_i, 1)]
     collapse += [(mat.gamma_0, 2 + m) for m in range(cfg.n)]
-    return FullSystem(cfg=cfg, h0=_csr(h0, cfg.dim), h1=_csr(h1, cfg.dim), e0=drive.e0,
-                      collapse=collapse)
-
-
-def _csr(entries: list, dim: int) -> sp.csr_matrix:
-    """The complex dim x dim matrix with the (rows, cols, values) entries."""
-    rows, cols, values = (np.concatenate(part) for part in zip(*entries))
-    return sp.csr_matrix((values.astype(complex), (rows, cols)), shape=(dim, dim))
+    return FullSystem(cfg=cfg, h0=h0, h1=h1, e0=drive.e0, collapse=collapse)
 
 
 class _Generator:
@@ -281,8 +291,8 @@ class _Generator:
 
     L_0(H) = A H + H A^+ + sum gamma c H c^+ with A = -i h0 - 1/2 sum gamma
     c^+ c, and L_1(H) = -i [h1, H] = D H + H D^+ with D = -i h1; H B^+ is
-    (B H)^+, so each term costs one sparse product.  A lowering operator
-    of stride s makes c H c^+ a weighted view of H: with H as
+    (B H)^+, so each term costs one band product (_product).  A lowering
+    operator of stride s makes c H c^+ a weighted view of H: with H as
     (before, d, after) x (before, d, after), its entry at occupations
     (m, m') is sqrt((m + 1)(m' + 1)) H at (m + 1, m' + 1).  Every result
     is exactly Hermitian.  `scale` is the per-case constant of the
@@ -296,20 +306,23 @@ class _Generator:
         self.dim = system.cfg.dim
         self.collapse = system.collapse
         decay = sum(rate * _occupation(dims, site) for rate, site in system.collapse)
-        self.a = (-1j * system.h0 - sp.diags(0.5 * decay)).tocsr()
-        self.d = (-1j * system.h1).tocsr()
+        self.a = {offset: -1j * w for offset, w in system.h0.items()}
+        self.a[0] = self.a.get(0, 0j) - 0.5 * decay
+        self.d = {offset: -1j * w for offset, w in system.h1.items()}
         self.jumps = []
         for rate, site in system.collapse:
             root = np.sqrt(np.arange(1, dims[site]))
             shape = (math.prod(dims[:site]), dims[site], math.prod(dims[site + 1:])) * 2
             self.jumps.append((shape, rate * np.outer(root, root)[:, None, None, :, None]))
-        diag = self.a.diagonal()
+        diag = self.a[0]
         self.scale = float(np.max(np.abs(diag[:, None] + diag.conj())))
         self._norm_parts = self._frobenius_parts()
 
     def apply(self, h: np.ndarray, e0: float) -> np.ndarray:
         """L_0(H) + e0 L_1(H)."""
-        y = self.a @ h + e0 * (self.d @ h)
+        y = np.zeros_like(h)
+        _product(self.a, h, y)
+        _product(self.d, h, y, e0)
         out = y + y.conj().T
         for shape, weight in self.jumps:
             out.reshape(shape)[:, :-1, :, :, :-1] += weight * h.reshape(shape)[:, 1:, :, :, 1:]
@@ -317,7 +330,8 @@ class _Generator:
 
     def drive(self, h: np.ndarray) -> np.ndarray:
         """L_1(H)."""
-        y = self.d @ h
+        y = np.zeros_like(h)
+        _product(self.d, h, y)
         return y + y.conj().T
 
     def _frobenius_parts(self) -> tuple:
@@ -329,12 +343,15 @@ class _Generator:
         different sites are trace-orthogonal, so every jump term is
         orthogonal to the others and to the B terms:
         ||L||^2 = 2 dim ||B||^2 + 2 Re tr(B)^2 + sum gamma^2 ||c||^4.
+        The diagonal band gives each trace, and only bands at the same
+        offset meet in an inner product.
         """
         a, d, dim = self.a, self.d, self.dim
-        tr_a, tr_d = a.diagonal().sum(), d.diagonal().sum()
-        a_a = a.multiply(a.conj()).sum().real
-        a_d = a.conj().multiply(d).sum().real
-        d_d = d.multiply(d.conj()).sum().real
+        tr_a = a[0].sum()
+        tr_d = d[0].sum() if 0 in d else 0.0
+        a_a = sum(np.vdot(w, w).real for w in a.values())
+        a_d = sum(np.vdot(w, d[offset]).real for offset, w in a.items() if offset in d)
+        d_d = sum(np.vdot(w, w).real for w in d.values())
         jumps = sum((rate * _occupation(self.dims, site).sum()) ** 2
                     for rate, site in self.collapse)
         return (2 * dim * a_a + 2 * (tr_a * tr_a).real + jumps,
@@ -345,6 +362,18 @@ class _Generator:
         """||L_0 + e0 L_1||_F."""
         n0, cross, n1 = self._norm_parts
         return math.sqrt(max(n0 + e0 * (cross + e0 * n1), 0.0))
+
+
+def _block(bands: dict, rows: np.ndarray, position: np.ndarray, width: int) -> np.ndarray:
+    """The rows `rows` of a band operator whose nonzero entries in them
+    all lie in one excitation level of `width` states, as a dense
+    len(rows) x width block: column j of the operator lands at position[j]."""
+    block = np.zeros((len(rows), width), dtype=complex)
+    for offset, w in bands.items():
+        weights = w[rows]
+        hit = np.flatnonzero(weights)
+        block[hit, position[rows[hit] + offset]] = weights[hit]
+    return block
 
 
 class _SectorInverse:
@@ -421,19 +450,23 @@ class _SectorInverse:
         ground state has an undamped mode or is not diagonalisable to
         working accuracy."""
         levels = np.indices(generator.dims).sum(0).ravel()
+        for offset, w in generator.a.items():
+            rows = np.flatnonzero(w)
+            if np.any(levels[rows + offset] != levels[rows]):
+                return None
         order = np.argsort(levels, kind="stable")
         level = levels[order]
-        basis = np.ix_(order, order)
-        a_op = generator.a.toarray()[basis]
-        if np.any(a_op[level[:, None] != level]):
-            return None
-        channels = [np.sqrt(rate) * _lowering(generator.dims, site).toarray()[basis]
-                    for rate, site in generator.collapse]
         bounds = np.searchsorted(level, np.arange(level[-1] + 2))
+        # each state's position within its excitation level
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order)) - bounds[level]
+        channels = [{offset: np.sqrt(rate) * w for offset, w in
+                     _lowering(generator.dims, site).items()}
+                    for rate, site in generator.collapse]
         one = np.ones((1, 1), dtype=complex)
         eigenvalues, bases, inverses = [np.zeros(1, dtype=complex)], [one], [one]
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            lam, v = sla.eig(a_op[lo:hi, lo:hi])
+            lam, v = np.linalg.eig(_block(generator.a, order[lo:hi], position, hi - lo))
             try:
                 w = np.linalg.inv(v)
             except np.linalg.LinAlgError:
@@ -444,7 +477,8 @@ class _SectorInverse:
             eigenvalues.append(lam)
             bases.append(v)
             inverses.append(w)
-        jumps = [[inverses[k] @ c[lo:mid, mid:hi] @ bases[k + 1] for c in channels]
+        jumps = [[inverses[k] @ _block(c, order[lo:mid], position, hi - mid) @ bases[k + 1]
+                  for c in channels]
                  for k, (lo, mid, hi) in enumerate(zip(bounds[:-2], bounds[1:-1],
                                                        bounds[2:]))]
         return cls(order, level, eigenvalues, bases, inverses, jumps, generator.scale)

@@ -3,6 +3,8 @@
 The assembled form of what plasmarray.fullmodel applies matrix-free: site
 operators as chains of scipy.sparse.kron and the dim^2 x dim^2
 superoperator, vectorized row-major (vec(A rho B) = (A kron B^T) vec(rho)).
+fullmodel holds its operators as bands {offset: weights} with entry
+(i, i + offset) = weights[i]; `bands` and `dense` convert to and from them.
 """
 
 import math
@@ -22,6 +24,32 @@ def site_operator(op: np.ndarray, site: int, dims: tuple) -> sp.csr_matrix:
     for k, d in enumerate(dims):
         block = sp.csr_matrix(op) if k == site else sp.identity(d, format="csr", dtype=complex)
         out = sp.kron(out, block, format="csr")
+    return out
+
+
+def bands(op) -> dict:
+    """A scipy sparse (or dense) matrix as a band operator of fullmodel."""
+    coo = sp.coo_matrix(op)
+    coo.sum_duplicates()
+    offsets = coo.col - coo.row
+    out = {}
+    for offset in np.unique(offsets):
+        pick = offsets == offset
+        out[int(offset)] = np.zeros(coo.shape[0], dtype=complex)
+        out[int(offset)][coo.row[pick]] = coo.data[pick]
+    return out
+
+
+def dense(op: dict) -> np.ndarray:
+    """A band operator of fullmodel as a dense matrix; a weight whose
+    entry falls outside the matrix must be zero."""
+    dim = len(next(iter(op.values())))
+    out = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    for offset, weights in op.items():
+        inside = (rows + offset >= 0) & (rows + offset < dim)
+        assert not np.any(weights[~inside]), f"band {offset} reaches outside the matrix"
+        out[rows[inside], rows[inside] + offset] = weights[inside]
     return out
 
 
@@ -82,7 +110,8 @@ def liouvillian(h: sp.spmatrix, collapse=()) -> sp.csr_matrix:
 
 def case_generators(system) -> tuple:
     """The assembled L_0 and L_1 of a case: L(e0) = L_0 + e0 L_1."""
-    return liouvillian(system.h0, collapse_operators(system)), liouvillian(system.h1)
+    return (liouvillian(sp.csr_matrix(dense(system.h0)), collapse_operators(system)),
+            liouvillian(sp.csr_matrix(dense(system.h1))))
 
 
 def trace_constrained(l_op: sp.csr_matrix, dim: int, scale: float) -> sp.csr_matrix:

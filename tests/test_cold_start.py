@@ -1,5 +1,5 @@
-"""The effective-model pipeline runs on numpy alone; scipy loads only with
-the explicit-mode validator."""
+"""plasmarray runs on numpy alone: no subcommand, the explicit-mode
+validator included, loads scipy."""
 
 import json
 import os
@@ -47,7 +47,7 @@ print({_LOADED})
     assert loaded == []
 
 
-def test_validate_loads_scipy_on_demand(tmp_path):
+def test_validate_never_loads_scipy(tmp_path):
     out = str(tmp_path / "v.csv")
     loaded = _run_fresh(f"""
 import json, sys
@@ -59,8 +59,7 @@ code = plasmarray.cli.main(["validate", "--set", "geometry.n=1",
 assert code == 0, code
 print({_LOADED})
 """)
-    assert "scipy.linalg" in loaded
-    assert "scipy.sparse.linalg" not in loaded
+    assert loaded == []
     assert len(Path(out).read_text().splitlines()) == 3
 
 

@@ -29,8 +29,10 @@ from plasmarray.fullmodel import build_full_system, reduce_to_qubits
 from plasmarray.plasmonics import bare_couplings
 
 from _lindblad import (
+    bands,
     case_generators,
     collapse_operators,
+    dense,
     hamiltonians,
     liouvillian,
     lowering,
@@ -62,7 +64,7 @@ def narrow_material():
 
 def _hamiltonian(system):
     """The Hamiltonian of a system built at a single intensity."""
-    return system.h0 + float(system.e0) * system.h1
+    return scipy.sparse.csr_matrix(dense(system.h0) + float(system.e0) * dense(system.h1))
 
 
 def _generator(system):
@@ -147,7 +149,7 @@ def test_operator_shapes_and_embedding(material, qd_resonant, geometry):
     system = build_full_system(
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 1.0), cfg
     )
-    assert system.h0.shape == system.h1.shape == (cfg.dim, cfg.dim)
+    assert dense(system.h0).shape == dense(system.h1).shape == (cfg.dim, cfg.dim)
     assert [site for _, site in system.collapse] == list(range(cfg.n + 2))
     for _, op in collapse_operators(system):
         assert op.shape == (cfg.dim, cfg.dim)
@@ -170,10 +172,11 @@ def test_index_built_lowering_operators_equal_the_kron_built_ones():
         dims = FockConfig(n=n, fock_levels=nlev).dims
         for site, d in enumerate(dims):
             index_built = fullmodel._lowering(dims, site)
-            kron_built = site_operator(lowering(d), site, dims)
-            assert index_built.dtype == kron_built.dtype
-            assert index_built.nnz == kron_built.nnz
-            assert (index_built != kron_built).nnz == 0
+            kron_built = bands(site_operator(lowering(d), site, dims))
+            assert index_built.keys() == kron_built.keys()
+            for offset, weights in index_built.items():
+                assert weights.dtype == kron_built[offset].dtype
+                assert np.array_equal(weights, kron_built[offset])
 
 
 def test_index_built_hamiltonians_equal_the_kron_built_ones(material, geometry):
@@ -185,8 +188,8 @@ def test_index_built_hamiltonians_equal_the_kron_built_ones(material, geometry):
         drive = _drive(material, qd, [0.5, 20.0], phi=0.7)
         system = build_full_system(geometry(n), material, qd, drive, cfg)
         h0, h1 = hamiltonians(geometry(n), material, qd, drive, cfg)
-        assert np.array_equal(system.h0.toarray(), h0.toarray())
-        assert np.array_equal(system.h1.toarray(), h1.toarray())
+        assert np.array_equal(dense(system.h0), h0.toarray())
+        assert np.array_equal(dense(system.h1), h1.toarray())
 
 
 def test_hamiltonian_is_hermitian(material, qd_resonant, geometry):
@@ -195,7 +198,8 @@ def test_hamiltonian_is_hermitian(material, qd_resonant, geometry):
         geometry(2), material, qd_resonant,
         _drive(material, qd_resonant, 10.0, phi=0.7), cfg,
     )
-    for h in (system.h0, system.h1, _hamiltonian(system)):
+    for h in (scipy.sparse.csr_matrix(dense(system.h0)),
+              scipy.sparse.csr_matrix(dense(system.h1)), _hamiltonian(system)):
         assert (h - h.getH()).nnz == 0 or np.max(np.abs((h - h.getH()).data)) < 1e-6
 
 
@@ -417,7 +421,8 @@ def test_operator_form_matches_the_superoperator(material, geometry, n, nlev):
     """The matrix-free L_0 and L_1, applied to the Hermitian and
     anti-Hermitian parts of a random non-Hermitian rho, equal the assembled
     superoperators' products, and the scale of the trace-constrained
-    systems is L_0's largest entry."""
+    systems is L_0's largest entry.  The band products A rho and D rho
+    under them equal the dense products."""
     qd = _detuned_pair(material)
     cfg = FockConfig(n=n, fock_levels=nlev)
     system = build_full_system(geometry(n), material, qd, _drive(material, qd, 1.5, 0.7), cfg)
@@ -430,6 +435,11 @@ def test_operator_form_matches_the_superoperator(material, geometry, n, nlev):
         ref = l_op @ rho.ravel()
         out = (apply(h) + 1j * apply(k)).ravel()
         assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+    for op in (generator.a, generator.d):
+        product = np.zeros_like(rho)
+        fullmodel._product(op, rho, product)
+        ref = dense(op) @ rho
+        assert np.linalg.norm(product - ref) <= 1e-14 * np.linalg.norm(ref)
     assert generator.scale == pytest.approx(float(np.max(np.abs(l_0.data))), rel=1e-15)
 
 
@@ -575,7 +585,8 @@ def test_counter_rotating_term_raises(material, geometry):
     s1 = site_operator(lowering(2), 0, cfg.dims)
     a_1 = site_operator(lowering(cfg.fock_levels), 2, cfg.dims)
     g = bare_couplings(geometry(2), _detuned_pair(material), material).g
-    system.h0 = (system.h0 + 0.1 * g * (s1.getH() @ a_1.getH() + s1 @ a_1)).tocsr()
+    system.h0 = bands(dense(system.h0)
+                      + 0.1 * g * (s1.getH() @ a_1.getH() + s1 @ a_1).toarray())
     assert fullmodel._SectorInverse.of(fullmodel._Generator(system)) is None
     with pytest.raises(NumericalError, match="excitation number"):
         steady_state_full(system)
@@ -591,7 +602,7 @@ def test_defective_level_raises():
     s1 = site_operator(lowering(2), 0, cfg.dims)
     a_1 = site_operator(lowering(2), 2, cfg.dims)
     h0 = -(gamma_0 - gamma_i) / 4 * (s1.getH() @ a_1 + s1 @ a_1.getH())
-    system = fullmodel.FullSystem(cfg=cfg, h0=h0.tocsr(), h1=-(s1 + s1.getH()).tocsr(),
+    system = fullmodel.FullSystem(cfg=cfg, h0=bands(h0), h1=bands(-(s1 + s1.getH())),
                                   e0=np.array([0.1]),
                                   collapse=[(gamma_i, 0), (gamma_i, 1), (gamma_0, 2)])
     assert fullmodel._SectorInverse.of(fullmodel._Generator(system)) is None
