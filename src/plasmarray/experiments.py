@@ -5,7 +5,10 @@ computed and (optionally) writes them as CSV: comma separated, header
 row, `.` decimal separator, LF line endings, floats at the configured
 significant-digit precision.  Re-running with the same config reproduces
 the CSV byte for byte: grids are fixed tuples, solvers are deterministic
-and rows are emitted in a fixed order.
+and rows are emitted in a fixed order.  `write_csv` formats the rows
+column-wise in blocks of CSV_BLOCK_ROWS rows, all-float columns in numpy;
+every cell keeps the bytes of the per-cell rule `_format_value` (`%e` for
+floats).
 
 Every experiment derives the material once per run and makes one
 mediated-parameter call per chain and drive axis: `couplings` one per
@@ -126,35 +129,140 @@ def _format_value(value, precision: int) -> str:
     return str(value)
 
 
-def write_csv(path: str, header, rows, precision: int = 12) -> None:
-    """Write rows (sequences of cells) with a header, LF endings.
+# Row blocks bound the writer's buffers: each is a (rows, bytes per row) uint8
+# array and a keep-mask of the same shape.
+CSV_BLOCK_ROWS = 1024
 
-    A row whose cells are all exactly float, int or str is formatted by one
-    %-string, built once per tuple of cell types and giving the bytes of
-    _format_value; any other row (None, bool, numpy scalars) goes through
-    _format_value cell by cell.  Lines are written as they are formatted.
+_FLOAT_TYPES = {float, np.float64}
+_STR_TYPES = {int, str}  # cells that _format_value writes as str(cell)
+_POW10 = np.array([float(10**i) for i in range(23)])  # exact up to 10**22
+_PAIRS = np.array([b"%02d" % i for i in range(100)]).view(np.uint16)  # b"00" .. b"99"
+_MINUS, _PLUS, _DOT, _E = b"-+.e"
+
+
+def _text_cells(texts):
+    """Left-aligned utf-8 bytes of each text and the mask of those bytes."""
+    data = "".join(texts).encode("utf-8")
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    if len(data) != lengths.sum():  # not all ASCII: count bytes, not characters
+        lengths = np.fromiter((len(text.encode("utf-8")) for text in texts), np.intp,
+                              len(texts))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    chars = np.empty(keep.shape, np.uint8)
+    chars[keep] = np.frombuffer(data, np.uint8)
+    return chars, keep
+
+
+def _float_cells(cells, precision: int):
+    """The `%.{precision-1}e` bytes of a column of floats, decided in float64.
+
+    With e = floor(log10|x|), the digits are rint(m) for m = |x| 10^k,
+    k = precision - 1 - e, computed as one correctly rounded product or
+    quotient by an exact power of ten (|k| <= 22).  Such an m is within half
+    an ulp of the exact one, so rint(m) is the correctly rounded digit
+    string unless m lies within that of a half-integer; and m strictly
+    between 10^(p-1) and 10^p (both exact floats) proves e.  A cell is
+    decided when all of that holds with a margin of 2 to 4 ulp, which
+    leaves out every m >= 2^50 (so precision <= 16).  Digits that round up
+    to 10^p carry into the exponent, and zero gets zero digits.  Every
+    other cell (non-finite, |k| > 22, a tie or near-tie, or a log10 that
+    landed one off next to a power of ten) takes `_format_value`.  A cell
+    is [-]d[.ddd]e±dd plus one byte for the third exponent digit that only
+    a `_format_value` cell can use.
     """
-    codes = {float: f"%.{precision - 1}e", int: "%d", str: "%s"}
-    formats = {}
+    p = precision
+    x = np.fromiter(cells, np.float64, len(cells))
+    a = np.abs(x)
+    zero = a == 0.0
+    usable = np.isfinite(a) & ~zero
+    a[~usable] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = p - 1 - e
+    power = _POW10[np.minimum(np.abs(k), 22)]
+    m = np.multiply(a, power, where=k >= 0, out=np.empty_like(a))
+    np.divide(a, power, where=k < 0, out=m)
+    frac = m - np.floor(m)
+    decided = usable & (np.abs(k) <= 22) & (m > float(10 ** (p - 1))) & (m < float(10**p))
+    decided &= np.abs(frac - 0.5) > m * 2.0**-51  # 2 to 4 ulp of m off a tie
+    digits = np.rint(m, where=decided, out=np.zeros_like(m)).astype(np.int64)
+    carry = digits == 10**p
+    digits[carry] //= 10
+    e = np.where(decided, e + carry, 0)
+    decided |= zero
 
-    def lines():
-        yield ",".join(header) + "\n"
-        for row in rows:
-            shape = tuple(map(type, row))
-            fmt = formats.get(shape)
-            if fmt is None:
-                try:
-                    fmt = ",".join([codes[kind] for kind in shape]) + "\n"
-                except KeyError:  # None, bool (not int here), numpy scalars
-                    fmt = ""
-                formats[shape] = fmt
-            if fmt:
-                yield fmt % tuple(row)
-            else:
-                yield ",".join(_format_value(cell, precision) for cell in row) + "\n"
+    pairs = (p + 1) // 2
+    words = np.empty((len(x), pairs), np.uint16)
+    for j in range(pairs - 1, -1, -1):
+        rest = digits // 100
+        words[:, j] = _PAIRS[digits - 100 * rest]
+        digits = rest
+    digits = words.view(np.uint8)[:, 2 * pairs - p:]
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines())
+    point = 1 if p > 1 else 0
+    width = p + point + 6
+    chars = np.empty((len(x), width), np.uint8)
+    chars[:, 0] = _MINUS
+    chars[:, 1] = digits[:, 0]
+    chars[:, 2:2 + point] = _DOT
+    chars[:, 2 + point:p + 1 + point] = digits[:, 1:]
+    chars[:, p + 1 + point] = _E
+    chars[:, p + 2 + point] = np.where(e < 0, _MINUS, _PLUS)
+    chars[:, p + 3 + point:p + 5 + point] = _PAIRS[np.abs(e)].view(np.uint8).reshape(-1, 2)
+    keep = np.ones((len(x), width), bool)
+    keep[:, 0] = np.signbit(x)
+    keep[:, -1] = False
+
+    undecided = np.flatnonzero(~decided)
+    if undecided.size:
+        text, text_keep = _text_cells([_format_value(cells[i], p) for i in undecided.tolist()])
+        chars[undecided, :text.shape[1]] = text
+        keep[undecided] = False
+        keep[undecided, :text.shape[1]] = text_keep
+    return chars, keep
+
+
+def _column_cells(column, precision: int):
+    kinds = set(map(type, column))
+    if kinds <= _FLOAT_TYPES and precision <= 16:  # m < 2^50 has at most 16 digits
+        return _float_cells(column, precision)
+    if kinds <= _STR_TYPES:
+        return _text_cells(list(map(str, column)))
+    return _text_cells([_format_value(cell, precision) for cell in column])
+
+
+def write_csv(path: str, header, rows, precision: int = 12) -> None:
+    """Write rows (a list or tuple of sequences of cells) with a header, LF
+    endings.
+
+    Each cell is written as `_format_value` gives it: floats in `%e` form at
+    `precision` significant digits, ints and strings by `str`, None empty,
+    booleans `true`/`false`, any other cell by `str`.  The rows are taken in
+    blocks of at most CSV_BLOCK_ROWS and formatted column-wise: a column
+    whose cells are all float or numpy float64 by `_float_cells` (at
+    precision <= 16), one of ints and strings by `str`, any other cell by
+    cell.  Each block is one
+    uint8 buffer and keep-mask, written with one `write`.
+
+    Raises ValueError, before the file is opened, for a precision below 1
+    or a row whose length differs from the header's.
+    """
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1, got {precision}")
+    lengths = set(map(len, rows)) - {len(header)}
+    if lengths:
+        raise ValueError(f"rows of {sorted(lengths)} cells under a header of {len(header)}")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            columns = [_column_cells(column, precision) for column in zip(*block)]
+            ends = np.full((len(block), 1), ord(","), np.uint8)
+            chars = np.concatenate([part for column, _ in columns for part in (column, ends)],
+                                   axis=1)
+            chars[:, -1] = ord("\n")
+            keep = np.concatenate([part for _, mask in columns for part in (mask, ends > 0)],
+                                  axis=1)
+            fh.write(chars[keep].tobytes())
 
 
 def _map_tasks(fn, tasks, jobs: int):

@@ -488,18 +488,14 @@ def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
     return concurrence(reduce_to_qubits(steady_state_full(system), cfg))
 
 
-def test_multi_intensity_case_matches_fresh_solves(material, geometry, monkeypatch):
-    """One case over four intensities: no scipy.sparse.kron call at all
-    (so no superoperator is assembled), and the same concurrence as a
-    separate solve (own system, own run) per point."""
-
-    def no_kron(*args, **kwargs):
-        raise AssertionError("scipy.sparse.kron called while solving a case")
-
+def test_multi_intensity_case_matches_fresh_solves(material, geometry):
+    """One case over four intensities gives the same concurrence as a
+    separate solve (own system, own run) per point.  That the solve
+    assembles no superoperator follows from fullmodel importing no scipy
+    (test_cold_start.py::test_validate_never_loads_scipy)."""
     qd = _detuned_pair(material)
     cfg = FockConfig(n=2, fock_levels=4)
     intensities = (0.0, 0.5, 1.5, 3.0)
-    monkeypatch.setattr(scipy.sparse, "kron", no_kron)
     table = validate_against_effective(
         geometry(2), material, qd, cfg, [i * W_CM2_TO_W_M2 for i in intensities]
     )
@@ -546,18 +542,13 @@ def test_singular_shifted_system_is_left_unsolved():
     assert (fit.steps, fit.residual) == (1, 1.0)
 
 
-def test_narrow_linewidth_case_is_solved_by_one_arnoldi_run(narrow_material, geometry,
-                                                            monkeypatch):
+def test_narrow_linewidth_case_is_solved_by_one_arnoldi_run(narrow_material, geometry):
     """Without radiative damping the n = 1, N = 4 case at +/-80 gamma_i
     needs more Arnoldi steps from ~50 W/cm^2 on; the one run still solves
-    every fourth intensity of the default grid with no LGMRES, each
-    c_full within 1e-10 of a dense solve of the assembled trace-constrained
-    system."""
-
-    def no_lgmres(*args, **kwargs):
-        raise AssertionError("scipy.sparse.linalg.lgmres called")
-
-    monkeypatch.setattr(spla, "lgmres", no_lgmres)
+    every fourth intensity of the default grid, each c_full within 1e-10
+    of a dense solve of the assembled trace-constrained system.  The
+    Arnoldi run is fullmodel's only solver, and fullmodel imports no scipy
+    (test_cold_start.py::test_validate_never_loads_scipy)."""
     mat = narrow_material
     qd = QdParams.at_resonance(mat, R_QD, GAMMA_I, 80.0 * GAMMA_I, -80.0 * GAMMA_I)
     cfg = FockConfig(n=1, fock_levels=4)

@@ -18,13 +18,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from plasmarray import (
     DomainError,
     MediatedParams,
     NumericalError,
+    QdParams,
     concurrence,
     dicke_populations,
     drive_rates,
@@ -39,7 +40,7 @@ from plasmarray.steadystate import (
     _stationarity_matrices,
 )
 
-from conftest import GAMMA_I
+from conftest import GAMMA_I, R_QD
 
 _YY = np.zeros((4, 4))
 _YY[0, 3] = -1.0
@@ -415,6 +416,46 @@ def test_swap_invariance(material, qd_antisym_35, geometry):
     state = steady_state(steady_for(material, qd_antisym_35, geometry, 1, 16.0))
     swapped = SWAP @ state.rho @ SWAP
     assert concurrence(state) == pytest.approx(concurrence(swapped), abs=1e-12)
+
+
+def _exchanged(mp: MediatedParams) -> MediatedParams:
+    """The same parameters with dot 1 and dot 2 relabelled."""
+    return dataclasses.replace(
+        mp,
+        delta_omega_tilde_1=mp.delta_omega_tilde_2, delta_omega_tilde_2=mp.delta_omega_tilde_1,
+        gamma_tilde_1=mp.gamma_tilde_2, gamma_tilde_2=mp.gamma_tilde_1,
+        lambda_tilde_1=mp.lambda_tilde_2, lambda_tilde_2=mp.lambda_tilde_1,
+    )
+
+
+# the geometry fixture is a stateless factory, safe to share across examples
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(min_value=1, max_value=17),
+       detunings=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+       log_intensity=st.floats(-2.0, 3.0), phi=st.floats(0.0, 2.0 * math.pi),
+       purcell_2=st.floats(0.5, 2.0))
+def test_exchanging_the_dots_swaps_the_state(material, geometry, n, detunings, log_intensity,
+                                             phi, purcell_2):
+    """Chain-mediated parameters with unequal detunings, a phased drive and
+    unequal Purcell rates: relabelling the dots (detunings, dressed
+    drives, Purcell rates) maps rho to SWAP rho SWAP and leaves the Dicke
+    populations unchanged within 1e-12.  C is compared at 1e-11: its
+    general eigensolve of rho rho~ turns the ~1e-15 difference between the
+    two states into up to ~1e-12 near small eigenvalues."""
+    qd = QdParams.at_resonance(material, R_QD, GAMMA_I, detunings[0] * GAMMA_I,
+                               detunings[1] * GAMMA_I)
+    mp = steady_for(material, qd, geometry, n, 10.0**log_intensity, phi)
+    # gamma_diss^2 / (gamma~_1 gamma~_2) is kept, so the rate matrix stays admissible
+    mp = dataclasses.replace(mp, gamma_tilde_2=purcell_2 * mp.gamma_tilde_2,
+                             gamma_diss=math.sqrt(purcell_2) * mp.gamma_diss)
+    state = steady_state(mp)
+    exchanged = steady_state(_exchanged(mp))
+    assert np.max(np.abs(exchanged.rho - SWAP @ state.rho @ SWAP)) <= 1e-12
+    assert abs(concurrence(exchanged) - concurrence(state)) <= 1e-11
+    pops, pops_x = dicke_populations(state), dicke_populations(exchanged)
+    for field in ("rho_gg", "rho_ss", "rho_aa", "rho_ee"):
+        assert abs(getattr(pops_x, field) - getattr(pops, field)) <= 1e-12
 
 
 def test_global_drive_phase_invariance(material, qd_antisym_35, geometry):
