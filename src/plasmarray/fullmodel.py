@@ -720,7 +720,9 @@ def validate_against_effective(
     comparison is like for like.  The full model solves the grid as one
     case: one generator, one exact inverse of the undriven generator and
     one shifted Arnoldi run serve every intensity (iter_steady_states), and
-    each full state is reduced to the dots before the next is formed.
+    each full state is reduced to the dots before the next is formed.  The
+    reduced states are checked one by one and their concurrence is one
+    stacked call, like the effective model's.
     """
     if omega is None:
         omega = mat.omega_0
@@ -729,15 +731,16 @@ def validate_against_effective(
     c_effs = concurrence(steady_state(
         mediated_params(geom, mat, qd, drive, phi_mode="bare"))).tolist()
     rho_fulls = iter_steady_states(build_full_system(geom, mat, qd, drive, cfg))
-    rows = []
-    for intensity, c_eff, rho_full in zip(intensities.tolist(), c_effs, rho_fulls):
-        c_full = concurrence(reduce_to_qubits(rho_full, cfg).validate())
-        rows.append(
-            ValidationRow(
-                intensity_w_m2=intensity,
-                c_eff=c_eff,
-                c_full=c_full,
-                abs_diff=abs(c_full - c_eff),
-            )
+    reduced = np.array([reduce_to_qubits(rho_full, cfg).validate().rho
+                        for rho_full in rho_fulls]).reshape(-1, 4, 4)
+    rows = [
+        ValidationRow(
+            intensity_w_m2=intensity,
+            c_eff=c_eff,
+            c_full=c_full,
+            abs_diff=abs(c_full - c_eff),
         )
+        for intensity, c_eff, c_full in zip(
+            intensities.tolist(), c_effs, concurrence(reduced).tolist())
+    ]
     return ValidationTable(n=geom.n, fock_levels=cfg.fock_levels, rows=rows)

@@ -21,8 +21,10 @@ MediatedParams (scalars or (B,) arrays, e.g. one entry per intensity of a
 sweep column) broadcast into B parameter rows, one einsum assembles the B
 systems, one batched solve gives the B states, and the state checks
 (Hermiticity, trace, positivity, stationarity residual) run on the whole
-stack.  The concurrence and the Dicke populations are each one stacked
-numpy call too.  All-scalar fields are the stack of one.
+stack.  The Dicke populations are one stacked numpy call too.  The
+concurrence first certifies the separable states of a stack, those whose
+partial transpose is positive definite, and runs one stacked eigensolve
+on the rest only.  All-scalar fields are the stack of one.
 """
 
 from __future__ import annotations
@@ -292,13 +294,67 @@ def steady_state(mp: MediatedParams) -> TwoQubitState:
     return TwoQubitState(rho=rho.reshape(rows.shape[:-1] + (4, 4)))
 
 
+# separability margin of the concurrence certificate, relative to the trace.
+# - Soundness: an elimination without pivoting that runs to completion
+#   with positive pivots is exact for a perturbation |dA| <= gamma_5 |L||D||L^H|
+#   (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
+#   whose norm is a few 1e-15 times the trace here.  The partial transpose
+#   itself is formed exactly.  So a certified rho^T2 is positive definite
+#   in exact arithmetic, with a factor of ~100 to spare.
+# - Why not zero: near the separable boundary the lowest eigenvalue of
+#   rho^T2 can be as small as -C^2/4 (p|Psi+><Psi+| + (1-p)|gg><gg| has
+#   C = p), so at a round-off margin states with C ~ 1e-7 would be decided
+#   by rounding.  And the Wootters eigensolve itself reports C > 0 on
+#   separable states close to the boundary: of ~5.5e5 random states of
+#   rank 1..4 mixed towards I/4 until that eigenvalue sat at a given
+#   level, 4 got C > 0 at 1e-13 and 1 at 3e-13 (up to 6.8e-13), and none
+#   at 1e-12.  Above the margin the certificate agrees with the eigensolve.
+_PPT_MARGIN = 1e-12
+
+
+def _certified_separable(rho: np.ndarray) -> np.ndarray:
+    """(B,) mask of states in a (B, 4, 4) stack whose partial transpose
+    exceeds _PPT_MARGIN times the trace, hence PPT, separable and C = 0.
+
+    Only exactly Hermitian, finite matrices are certified.  The test is an
+    LDL^H elimination of rho^T2 - margin * trace * I without pivoting, over
+    the whole stack at once: by Sylvester's criterion that matrix is
+    positive definite iff its four pivots, left on the diagonal, are
+    positive.
+    """
+    # a refused matrix may run into inf or NaN; its pivots then fail the test
+    with np.errstate(all="ignore"):
+        # rho - rho^+ is zero entrywise only where rho is finite and Hermitian
+        ok = (rho - _dagger(rho) == 0.0).all(axis=(1, 2))
+        # the basis index is q1 + 2 q2, so rho reshapes to [b, a2, a1, b2, b1]
+        # and swapping a2 with b2 transposes the second dot
+        a = rho.reshape(-1, 2, 2, 2, 2).swapaxes(1, 3).copy().reshape(-1, 4, 4)
+        a[:, _DIAG, _DIAG] -= _PPT_MARGIN * np.trace(a, axis1=1, axis2=2).real[:, None]
+        for k in range(3):
+            a[:, k + 1:, k + 1:] -= (a[:, k + 1:, k, None]
+                                     * (a[:, None, k, k + 1:] / a[:, k, k, None, None].real))
+        return ok & (a[:, _DIAG, _DIAG].real > 0.0).all(axis=1)
+
+
 def concurrence(state):
     """Two-qubit concurrence of a state or 4 x 4 density matrix.
 
-    Eigenvalues of rho * (Y x Y) rho^* (Y x Y) are computed with a general
-    complex eigensolver, clipped at zero, square-rooted and sorted in
-    descending order; C = max(0, l1 - l2 - l3 - l4).  A float for one
-    state, a (B,) array for a stack.
+    Separable states are certified first and get C = 0.0 exactly: for two
+    qubits a state is separable iff its partial transpose rho^T2 is
+    positive semidefinite (Peres, PRL 77, 1413 (1996); Horodecki et al.,
+    PLA 223, 1 (1996)), and a separable state has zero concurrence.  A
+    state is certified when it is finite and exactly Hermitian and the
+    pivots of rho^T2 - 1e-12 tr(rho) I are all positive, i.e. rho^T2 is
+    positive definite with a margin far above the round-off of the test
+    (see _PPT_MARGIN).  No eigensolve runs for a certified state.  The
+    certificate reads rho as a state; steady_state and
+    TwoQubitState.validate check that it is one.
+
+    Every other state takes the Wootters path: eigenvalues of
+    rho * (Y x Y) rho^* (Y x Y) from a general complex eigensolver, clipped
+    at zero, square-rooted and sorted in descending order;
+    C = max(0, l1 - l2 - l3 - l4).  A float for one state, a (B,) array
+    for a stack.
     """
     rho = np.asarray(state.rho if isinstance(state, TwoQubitState) else state, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
@@ -307,13 +363,17 @@ def concurrence(state):
         )
     single = rho.ndim == 2
     rho = rho.reshape(-1, 4, 4)
-    rho_tilde = _YY @ rho.conj() @ _YY
-    try:
-        evals = np.linalg.eigvals(rho @ rho_tilde)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"concurrence eigensolve failed: {exc}") from exc
-    lam = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)), axis=1)[:, ::-1]
-    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    c = np.zeros(rho.shape[0])
+    todo = np.flatnonzero(~_certified_separable(rho))
+    if todo.size:
+        rest = rho[todo]
+        rho_tilde = _YY @ rest.conj() @ _YY
+        try:
+            evals = np.linalg.eigvals(rest @ rho_tilde)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"concurrence eigensolve failed: {exc}") from exc
+        lam = np.sort(np.sqrt(np.clip(evals.real, 0.0, None)), axis=1)[:, ::-1]
+        c[todo] = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
     return float(c[0]) if single else c
 
 

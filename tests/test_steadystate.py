@@ -4,6 +4,10 @@ The concurrence is cross-checked against an independent brute-force
 evaluation through the matrix square root, sqrt(sqrt(rho) rho~ sqrt(rho)),
 which never shares code with the production eigensolve path.
 
+The separability certificate in front of that eigensolve is checked at
+the PPT boundary, and against a scalar copy of the eigensolve
+(reference_concurrence), which it must match bit for bit on both sides.
+
 The batched production path (one MediatedParams with (B,) array fields,
 precomputed generator terms, stacked solve and eigensolves) is checked
 against a per-point reference kept here: the generator applied to each of
@@ -12,13 +16,14 @@ parameter set.
 """
 
 import dataclasses
+import itertools
 import logging
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from plasmarray import (
@@ -37,6 +42,7 @@ from plasmarray.steadystate import (
     SIGMA_1,
     SIGMA_2,
     TwoQubitState,
+    _certified_separable,
     _stationarity_matrices,
 )
 
@@ -378,8 +384,11 @@ def test_bell_state_concurrence_is_one():
 
 @pytest.mark.parametrize("index", [0, 1, 2, 3])
 def test_product_states_are_separable(index):
+    """|k><k|^T2 = |k><k| is singular, so the certificate refuses it and
+    the eigensolve still gives exactly 0.0."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[index, index] = 1.0
+    assert not _certified_separable(rho[None])[0]
     assert concurrence(rho) == 0.0
 
 
@@ -474,6 +483,192 @@ def test_global_drive_phase_invariance(material, qd_antisym_35, geometry):
 def test_concurrence_input_validation():
     with pytest.raises(DomainError):
         concurrence(np.eye(3))
+
+
+# --------------------------------------------------------------------------
+# separability certificate: C = 0 without the eigensolve when rho^T2 > 0
+# --------------------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    """Float arrays (or floats) equal bit for bit, signed zeros included."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def partial_transpose(rho):
+    """<a1 a2| rho^T2 |b1 b2> = <a1 b2| rho |b1 a2>, basis index q1 + 2 q2."""
+    out = np.empty_like(rho)
+    for a1, a2, b1, b2 in itertools.product(range(2), repeat=4):
+        out[a1 + 2 * a2, b1 + 2 * b2] = rho[a1 + 2 * b2, b1 + 2 * a2]
+    return out
+
+
+def random_state(rng, rank):
+    a = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = a @ a.conj().T
+    return 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+
+
+def mixed_to(rho, mu):
+    """rho mixed with I/4 so that rho^T2 has lowest eigenvalue mu (to
+    rounding), made exactly Hermitian; None if that needs no mixing."""
+    m = np.linalg.eigvalsh(partial_transpose(rho))[0]
+    if not m < mu < 0.25:
+        return None
+    t = (mu - m) / (0.25 - m)
+    out = (1.0 - t) * rho + t * np.eye(4) / 4.0
+    return 0.5 * (out + out.conj().T)
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("offset", [-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3])
+def test_werner_states_at_the_ppt_boundary(offset):
+    """p BELL + (1-p) I/4 is separable iff p <= 1/3, where C = (3p-1)/2
+    and the lowest eigenvalue of rho^T2 is (1-3p)/4."""
+    p = 1.0 / 3.0 + offset
+    rho = p * BELL_S + (1.0 - p) * np.eye(4) / 4.0
+    c = concurrence(rho)
+    assert _certified_separable(rho[None])[0] == (offset < 0)
+    assert same_bits(c, reference_concurrence(rho))
+    if offset < 0:
+        assert c == 0.0
+    else:
+        assert c == pytest.approx(1.5 * offset, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_weak_drive_like_states_are_refused(p):
+    """p|Psi+><Psi+| + (1-p)|gg><gg| has C = p but rho^T2 only dips to
+    about -p^2/4: the margin must refuse it, and the eigensolve gives p."""
+    rho = p * BELL_S
+    rho[0, 0] = 1.0 - p
+    assert not _certified_separable(rho[None])[0]
+    c = concurrence(rho)
+    assert abs(c - p) <= 1e-12
+    assert same_bits(c, reference_concurrence(rho))
+
+
+def test_non_hermitian_input_takes_the_eigensolve_unchanged():
+    """A matrix that is not exactly Hermitian is never certified, however
+    far inside the PPT region it is."""
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 1] = 1e-14
+    assert not _certified_separable(rho[None])[0]
+    assert same_bits(concurrence(rho), reference_concurrence(rho))
+    stack_ = np.stack([np.eye(4, dtype=complex) / 4.0, rho, BELL_S])
+    assert list(_certified_separable(stack_)) == [True, False, False]
+    assert same_bits(concurrence(stack_), [reference_concurrence(r) for r in stack_])
+
+
+# the eigensolve's matmul warns on inf, as it always has
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_still_raises(bad):
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[2, 2] = bad
+    assert not _certified_separable(rho[None])[0]
+    with pytest.raises(NumericalError, match="concurrence eigensolve failed"):
+        concurrence(rho)
+    with pytest.raises(NumericalError, match="concurrence eigensolve failed"):
+        concurrence(np.stack([np.eye(4, dtype=complex) / 4.0, rho]))
+
+
+def test_certified_states_skip_the_eigensolve(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    separable = np.stack([p * BELL_S + (1.0 - p) * np.eye(4) / 4.0 for p in (0.0, 0.1, 0.3)])
+    assert same_bits(concurrence(separable), np.zeros(3))
+    assert calls == []
+    mixed = np.concatenate([separable, BELL_S[None]])
+    assert concurrence(mixed)[3] == pytest.approx(1.0, abs=1e-12)
+    assert calls == [(1, 4, 4)]
+
+
+RANK = st.integers(min_value=1, max_value=4)
+SEED = st.integers(min_value=0, max_value=2**32 - 1)
+# lowest eigenvalue of rho^T2: down to -0.1 on the entangled side, and at
+# least 10x the certificate's margin on the separable side
+BOUNDARY_GAP = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-11.0, -1.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=SEED, ranks=st.lists(RANK, min_size=1, max_size=6), gap=BOUNDARY_GAP)
+def test_concurrence_matches_the_scalar_eigensolve_bit_for_bit(seed, ranks, gap):
+    """Random states of rank 1..4, plain and mixed to a lowest rho^T2
+    eigenvalue on either side of the PPT boundary: the stack, each state
+    on its own and the scalar reference agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    sign, log_gap = gap
+    states = []
+    for rank in ranks:
+        rho = random_state(rng, rank)
+        mixed = mixed_to(rho, sign * 10.0**log_gap)
+        states += [rho] if mixed is None else [rho, mixed]
+    rhos = np.stack(states)
+    c = concurrence(rhos)
+    assert same_bits(c, [reference_concurrence(r) for r in rhos])
+    assert same_bits(c, [concurrence(r) for r in rhos])
+    certified = _certified_separable(rhos)
+    assert not c[certified].any()
+
+
+def test_chain_steady_states_match_the_scalar_eigensolve(material, geometry):
+    """Columns of the antisymmetric +/-120 gamma_i grid over n = 1..17
+    hold both certified and entangled states; every C is the scalar
+    eigensolve's bit for bit, stacked or one state at a time."""
+    qd = QdParams.at_resonance(material, R_QD, GAMMA_I, -120.0 * GAMMA_I, 120.0 * GAMMA_I)
+    intensities = np.arange(0.5, 80.1, 2.5)
+    counts = np.zeros(2, dtype=int)
+    for n in range(1, 18):
+        rho = steady_state(steady_for(material, qd, geometry, n, intensities)).rho
+        c = concurrence(rho)
+        certified = _certified_separable(rho)
+        counts += [certified.sum(), (~certified).sum()]
+        assert same_bits(c, [reference_concurrence(r) for r in rho])
+        assert same_bits(c, [concurrence(r) for r in rho])
+    assert counts.min() > 50
+
+
+# the geometry fixture is a stateless factory, safe to share across examples
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(min_value=1, max_value=17),
+       detunings=st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+       phi=st.floats(0.0, 2.0 * math.pi), log_top=st.floats(0.0, 2.5))
+def test_chain_steady_states_match_the_scalar_eigensolve_anywhere(
+        material, geometry, n, detunings, phi, log_top):
+    qd = QdParams.at_resonance(material, R_QD, GAMMA_I, detunings[0] * GAMMA_I,
+                               detunings[1] * GAMMA_I)
+    intensities = np.geomspace(1e-2, 10.0**log_top, 24)
+    rho = steady_state(steady_for(material, qd, geometry, n, intensities, phi)).rho
+    c = concurrence(rho)
+    assert same_bits(c, [reference_concurrence(r) for r in rho])
+    assert same_bits(c, [concurrence(r) for r in rho])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEED, rank=RANK, gap=st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, -1.0)))
+def test_concurrence_is_invariant_under_local_unitaries(seed, rank, gap):
+    """C(U1 x U2 rho U1^+ x U2^+) = C(rho) (Wootters, PRL 80, 2245 (1998)),
+    and PPT, hence the certificate away from its margin, is invariant too."""
+    rng = np.random.default_rng(seed)
+    rho = mixed_to(random_state(rng, rank), gap[0] * 10.0**gap[1])
+    assume(rho is not None)
+    u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+    rotated = u @ rho @ u.conj().T
+    rotated = 0.5 * (rotated + rotated.conj().T)
+    assert abs(concurrence(rotated) - concurrence(rho)) <= 1e-10
+    both = _certified_separable(np.stack([rho, rotated]))
+    assert both[0] == both[1] == (gap[0] > 0)
 
 
 # --------------------------------------------------------------------------
