@@ -76,7 +76,6 @@ class DriveConfig:
 class SolverConfig:
     fock_levels: int = 4
     memory_budget_gb: float = 8.0
-    validate_max_n: int = 3
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,6 @@ _KEY_PARSERS = {
     "drive.phi_mode": ("drive", "phi_mode", lambda r, k, ln: _choice(r, k, ln, ("effective", "bare"))),
     "solver.fock_levels": ("solver", "fock_levels", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 2, k, ln)),
     "solver.memory_budget_gb": ("solver", "memory_budget_gb", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "solver.validate_max_n": ("solver", "validate_max_n", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 1, k, ln)),
     "output.csv": ("output", "csv", lambda r, k, ln: r.strip()),
     "output.precision": ("output", "precision", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 1, k, ln)),
 }

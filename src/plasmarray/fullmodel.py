@@ -94,10 +94,11 @@ _BYTES_PER_PY_FLOAT = 32
 
 def _level_sizes(n: int, fock_levels: int) -> np.ndarray:
     """How many basis states hold each total excitation number 0, 1, ...
-    (both dots plus all n modes)."""
-    sizes = np.array([1, 2, 1])
+    (both dots plus all n modes), as exact Python ints: the budget
+    estimate squares them, which overflows int64 for long chains."""
+    sizes = np.array([1, 2, 1], dtype=object)
     for _ in range(n):
-        sizes = np.convolve(sizes, np.ones(fock_levels, dtype=np.int64))
+        sizes = np.convolve(sizes, np.ones(fock_levels, dtype=object))
     return sizes
 
 

@@ -350,7 +350,8 @@ def concurrence(state):
     certificate reads rho as a state; steady_state and
     TwoQubitState.validate check that it is one.
 
-    Every other state takes the Wootters path: eigenvalues of
+    Every other state must be finite (else NumericalError) and takes the
+    Wootters path: eigenvalues of
     rho * (Y x Y) rho^* (Y x Y) from a general complex eigensolver, clipped
     at zero, square-rooted and sorted in descending order;
     C = max(0, l1 - l2 - l3 - l4).  A float for one state, a (B,) array
@@ -367,6 +368,8 @@ def concurrence(state):
     todo = np.flatnonzero(~_certified_separable(rho))
     if todo.size:
         rest = rho[todo]
+        if not np.isfinite(rest).all():
+            raise NumericalError("concurrence eigensolve failed: state is not finite")
         rho_tilde = _YY @ rest.conj() @ _YY
         try:
             evals = np.linalg.eigvals(rest @ rho_tilde)

@@ -121,7 +121,7 @@ def test_readme_configuration_block_is_the_defaults():
     block = _readme_config_block()
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
     defaults = _config_entries(ExperimentConfig())
-    assert sorted(keys) == sorted(defaults) and len(keys) == 26
+    assert sorted(keys) == sorted(defaults) and len(keys) == 25
     parsed = _config_entries(parse_config_text(block))
     for key, default in defaults.items():
         if isinstance(default, (float, tuple)):
@@ -156,6 +156,12 @@ def test_spectra_requires_grid_mode():
 def test_solver_backend_is_an_unknown_key(capsys):
     assert main(["concurrence", "--set", "solver.backend=effective"]) == EXIT_CONFIG
     assert "unknown key 'solver.backend'" in capsys.readouterr().err
+
+
+def test_validate_max_n_is_an_unknown_key(capsys):
+    """The memory budget is validate's only limit on the chain length."""
+    assert main(["validate", "--set", "solver.validate_max_n=3"]) == EXIT_CONFIG
+    assert "unknown key 'solver.validate_max_n'" in capsys.readouterr().err
 
 
 def test_validate_requires_single_detuning():
@@ -254,12 +260,13 @@ def test_concurrence_sweep_rows_and_optima(tmp_path):
     assert best_d == -35.0
 
 
-def test_validate_rows_and_skip_marker(tmp_path):
+def test_validate_rows_cover_every_chain_length(tmp_path):
+    """Every chain length within the memory budget is computed; n = 4 at
+    two levels per mode is a dim-64 explicit model."""
     cfg = parse_config_text(
         f"""
         geometry.n = 1,4
-        solver.validate_max_n = 2
-        solver.fock_levels = 3
+        solver.fock_levels = 2
         qd.detuning_mode = antisymmetric
         qd.delta_over_gamma = 80
         drive.intensity_w_cm2 = 0, 40
@@ -267,19 +274,20 @@ def test_validate_rows_and_skip_marker(tmp_path):
         """
     )
     rows, summaries = run_validate(cfg)
-    n1_rows = [r for r in rows if r[0] == 1 and not r[6]]
-    assert len(n1_rows) == 2
-    assert n1_rows[0][5] == pytest.approx(0.0, abs=1e-12)  # zero drive agrees exactly
+    assert [(r[0], r[2]) for r in rows] == [(1, 0.0), (1, 40.0), (4, 0.0), (4, 40.0)]
+    assert all(r[6] == "" and r[4] is not None for r in rows)
+    assert rows[0][5] == pytest.approx(0.0, abs=1e-12)  # zero drive agrees exactly
+    assert rows[2][5] == pytest.approx(0.0, abs=1e-12)
+    assert sorted(summaries) == [1, 4]
     assert summaries[1] < 0.05
-    skipped = [r for r in rows if r[0] == 4]
-    assert len(skipped) == 1 and "validate_max_n" in skipped[0][6]
+    lines = (tmp_path / "v.csv").read_text().splitlines()
+    assert len(lines) == 5 and all(line.endswith(",") for line in lines[1:])
 
 
 def test_validate_memory_refusal_becomes_error_row():
     cfg = parse_config_text(
         """
         geometry.n = 3
-        solver.validate_max_n = 3
         solver.fock_levels = 4
         solver.memory_budget_gb = 0.001
         drive.intensity_w_cm2 = 0

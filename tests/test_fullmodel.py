@@ -240,6 +240,15 @@ def test_level_sizes_count_the_basis():
     for n, nlev in [(1, 2), (2, 4), (3, 3)]:
         levels = np.indices(FockConfig(n=n, fock_levels=nlev).dims).sum(0).ravel()
         assert fullmodel._level_sizes(n, nlev).tolist() == np.bincount(levels).tolist()
+    # exact integers to chains far past any budget: int64 overflows from n = 16
+    for nlev in (2, 4):
+        previous = 0
+        for n in range(1, 41):
+            cfg = FockConfig(n=n, fock_levels=nlev)
+            assert sum(fullmodel._level_sizes(n, nlev)) == cfg.dim
+            estimate = cfg.estimated_solve_bytes(states=1, amplitudes=160)
+            assert estimate > previous
+            previous = estimate
 
 
 def test_config_geometry_mismatch(material, qd_resonant, geometry):

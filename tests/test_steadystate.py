@@ -563,8 +563,7 @@ def test_non_hermitian_input_takes_the_eigensolve_unchanged():
     assert same_bits(concurrence(stack_), [reference_concurrence(r) for r in stack_])
 
 
-# the eigensolve's matmul warns on inf, as it always has
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # no numpy warning before the error
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_still_raises(bad):
     rho = np.eye(4, dtype=complex) / 4.0
