@@ -56,7 +56,7 @@ from .plasmonics import (
 )
 from .steadystate import (
     DickePopulations,
-    TwoQubitState,
+    check_states,
     concurrence,
     dicke_populations,
     steady_state,

@@ -29,10 +29,6 @@ def ev_to_rad_per_s(energy_ev: float) -> float:
     return energy_ev * EV_TO_RAD_PER_S
 
 
-def rad_per_s_to_ev(omega: float) -> float:
-    return omega / EV_TO_RAD_PER_S
-
-
 def wavelength_nm_to_omega(wavelength_nm: float) -> float:
     """Vacuum wavelength in nm to angular frequency in rad/s."""
     return 2.0 * math.pi * C_LIGHT / (wavelength_nm * NM)
@@ -45,7 +41,3 @@ def omega_to_wavelength_nm(omega: float) -> float:
 
 def cm_to_debye(mu: float) -> float:
     return mu / DEBYE
-
-
-def debye_to_cm(mu_debye: float) -> float:
-    return mu_debye * DEBYE

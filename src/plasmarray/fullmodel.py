@@ -53,7 +53,7 @@ from .plasmonics import (
     bare_couplings,
     drive_rates,
 )
-from .steadystate import TwoQubitState, concurrence, steady_state
+from .steadystate import check_states, concurrence, steady_state
 
 __all__ = [
     "FockConfig",
@@ -677,18 +677,17 @@ def iter_steady_states(system: FullSystem):
 _PAPER_ORDER = np.array([0, 2, 1, 3])
 
 
-def reduce_to_qubits(rho_full: np.ndarray, cfg: FockConfig) -> TwoQubitState:
-    """Partial trace over all modes, returning the two-dot state."""
-    mode_dim = cfg.fock_levels**cfg.n
+def reduce_to_qubits(rho_full: np.ndarray) -> np.ndarray:
+    """Partial trace of a (4 M, 4 M) state over its modes (dimension M),
+    returning the 4 x 4 two-dot state."""
+    mode_dim = rho_full.shape[0] // 4
     r6 = rho_full.reshape(2, 2, mode_dim, 2, 2, mode_dim)
     red = np.trace(r6, axis1=2, axis2=5).reshape(4, 4)
-    red = red[np.ix_(_PAPER_ORDER, _PAPER_ORDER)]
-    return TwoQubitState(rho=red)
+    return red[np.ix_(_PAPER_ORDER, _PAPER_ORDER)]
 
 
 @dataclass(frozen=True)
 class ValidationRow:
-    intensity_w_m2: float
     c_eff: float
     c_full: float
     abs_diff: float
@@ -696,8 +695,6 @@ class ValidationRow:
 
 @dataclass(frozen=True)
 class ValidationTable:
-    n: int
-    fock_levels: int
     rows: list
 
     @property
@@ -722,7 +719,8 @@ def validate_against_effective(
     case: one generator, one exact inverse of the undriven generator and
     one shifted Arnoldi run serve every intensity (iter_steady_states), and
     each full state is reduced to the dots before the next is formed.  The
-    reduced states are checked one by one and their concurrence is one
+    reduced states are checked by one check_states call, which names a
+    failing one by its index in the grid, and their concurrence is one
     stacked call, like the effective model's.
     """
     if omega is None:
@@ -732,16 +730,10 @@ def validate_against_effective(
     c_effs = concurrence(steady_state(
         mediated_params(geom, mat, qd, drive, phi_mode="bare"))).tolist()
     rho_fulls = iter_steady_states(build_full_system(geom, mat, qd, drive, cfg))
-    reduced = np.array([reduce_to_qubits(rho_full, cfg).validate().rho
-                        for rho_full in rho_fulls]).reshape(-1, 4, 4)
+    reduced = np.array([reduce_to_qubits(rho) for rho in rho_fulls]).reshape(-1, 4, 4)
+    check_states(reduced)
     rows = [
-        ValidationRow(
-            intensity_w_m2=intensity,
-            c_eff=c_eff,
-            c_full=c_full,
-            abs_diff=abs(c_full - c_eff),
-        )
-        for intensity, c_eff, c_full in zip(
-            intensities.tolist(), c_effs, concurrence(reduced).tolist())
+        ValidationRow(c_eff=c_eff, c_full=c_full, abs_diff=abs(c_full - c_eff))
+        for c_eff, c_full in zip(c_effs, concurrence(reduced).tolist())
     ]
-    return ValidationTable(n=geom.n, fock_levels=cfg.fock_levels, rows=rows)
+    return ValidationTable(rows=rows)

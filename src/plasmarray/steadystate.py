@@ -21,10 +21,12 @@ MediatedParams (scalars or (B,) arrays, e.g. one entry per intensity of a
 sweep column) broadcast into B parameter rows, one einsum assembles the B
 systems, one batched solve gives the B states, and the state checks
 (Hermiticity, trace, positivity, stationarity residual) run on the whole
-stack.  The Dicke populations are one stacked numpy call too.  The
-concurrence first certifies the separable states of a stack, those whose
-partial transpose is positive definite, and runs one stacked eigensolve
-on the rest only.  All-scalar fields are the stack of one.
+stack.  A state is a plain complex array, (4, 4) or a (B, 4, 4) stack;
+check_states runs the first three checks on any such array.  The Dicke
+populations are one stacked numpy call too.  The concurrence first
+certifies the separable states of a stack, those whose partial transpose
+is positive definite, and runs one stacked eigensolve on the rest only.
+All-scalar fields are the stack of one.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .exceptions import DomainError, NumericalError
 __all__ = [
     "SIGMA_1",
     "SIGMA_2",
-    "TwoQubitState",
     "DickePopulations",
+    "check_states",
     "steady_state",
     "concurrence",
     "dicke_populations",
@@ -200,25 +202,24 @@ def _log_round_off(emin: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Hermitian unit-trace density matrix of the two dots.
+def check_states(rho: np.ndarray) -> None:
+    """Check that rho, one 4 x 4 matrix or a (B, 4, 4) stack of them, holds
+    two-dot states: finite, Hermitian, unit trace and positive (up to
+    tolerance).
 
-    rho is one 4 x 4 matrix or a (B, 4, 4) stack of them.
+    Raises
+    ------
+    NumericalError
+        Naming the first failing check of the first failing state, with its
+        index in a stack.
     """
-
-    rho: np.ndarray
-
-    def validate(self) -> "TwoQubitState":
-        """Check Hermiticity, unit trace and positivity (up to tolerance)."""
-        stacked = self.rho.ndim == 3
-        checks, emin = _state_checks(self.rho.reshape(-1, 4, 4))
-        failure = _first_failure(checks)
-        if failure is not None:
-            i, message = failure
-            raise NumericalError(f"{message} (state {i})" if stacked else message)
-        _log_round_off(emin)
-        return self
+    stacked = rho.ndim == 3
+    checks, emin = _state_checks(rho.reshape(-1, 4, 4))
+    failure = _first_failure(checks)
+    if failure is not None:
+        i, message = failure
+        raise NumericalError(f"{message} (state {i})" if stacked else message)
+    _log_round_off(emin)
 
 
 def _stationarity_matrices(mp: MediatedParams) -> tuple:
@@ -242,13 +243,13 @@ def _context(n: int, row: np.ndarray) -> str:
     )
 
 
-def steady_state(mp: MediatedParams) -> TwoQubitState:
+def steady_state(mp: MediatedParams) -> np.ndarray:
     """Steady state of mediated parameters: a 4 x 4 state when every field
     is a scalar, a (B, 4, 4) stack when some are (B,) arrays.
 
     One call assembles the B stationarity systems, replaces their rho_00
     rows by the trace, solves them in one batch and checks every state:
-    the TwoQubitState invariants and the residual against the generator
+    the check_states invariants and the residual against the generator
     (a steady state satisfies m_raw @ x = 0).  If one state fails, the
     whole stack is refused.
 
@@ -291,7 +292,7 @@ def steady_state(mp: MediatedParams) -> TwoQubitState:
         i, message = failure
         raise NumericalError(f"{message}; degenerate parameter set: {_context(mp.n, stack[i])}")
     _log_round_off(emin)
-    return TwoQubitState(rho=rho.reshape(rows.shape[:-1] + (4, 4)))
+    return rho.reshape(rows.shape[:-1] + (4, 4))
 
 
 # separability margin of the concurrence certificate, relative to the trace.
@@ -336,8 +337,8 @@ def _certified_separable(rho: np.ndarray) -> np.ndarray:
         return ok & (a[:, _DIAG, _DIAG].real > 0.0).all(axis=1)
 
 
-def concurrence(state):
-    """Two-qubit concurrence of a state or 4 x 4 density matrix.
+def concurrence(rho):
+    """Two-qubit concurrence of a 4 x 4 density matrix or a (B, 4, 4) stack.
 
     Separable states are certified first and get C = 0.0 exactly: for two
     qubits a state is separable iff its partial transpose rho^T2 is
@@ -347,8 +348,8 @@ def concurrence(state):
     pivots of rho^T2 - 1e-12 tr(rho) I are all positive, i.e. rho^T2 is
     positive definite with a margin far above the round-off of the test
     (see _PPT_MARGIN).  No eigensolve runs for a certified state.  The
-    certificate reads rho as a state; steady_state and
-    TwoQubitState.validate check that it is one.
+    certificate reads rho as a state; steady_state and check_states
+    check that it is one.
 
     Every other state must be finite (else NumericalError) and takes the
     Wootters path: eigenvalues of
@@ -357,7 +358,7 @@ def concurrence(state):
     C = max(0, l1 - l2 - l3 - l4).  A float for one state, a (B,) array
     for a stack.
     """
-    rho = np.asarray(state.rho if isinstance(state, TwoQubitState) else state, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise DomainError(
             f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}"
@@ -394,9 +395,10 @@ class DickePopulations:
     rho_sa: complex
 
 
-def dicke_populations(state: TwoQubitState) -> DickePopulations:
-    """Rotate to the Dicke basis and read off populations and rho_sa."""
-    rd = _DICKE_ROTATION @ state.rho @ _DICKE_ROTATION.conj().T
+def dicke_populations(rho: np.ndarray) -> DickePopulations:
+    """Rotate a 4 x 4 state or a (B, 4, 4) stack to the Dicke basis and
+    read off populations and rho_sa."""
+    rd = _DICKE_ROTATION @ rho @ _DICKE_ROTATION.conj().T
     single = rd.ndim == 2
     rd = rd.reshape(-1, 4, 4)
 

@@ -247,7 +247,7 @@ def test_criterion_11_concurrence_unit_suite(material, geometry):
     drive = drive_rates(16 * W_CM2_TO_W_M2, material, qd, material.omega_0)
     state = steady_state(mediated_params(geom, material, qd, drive))
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    if abs(concurrence(state) - concurrence(swap @ state.rho @ swap)) > 1e-12:
+    if abs(concurrence(state) - concurrence(swap @ state @ swap)) > 1e-12:
         problems.append("swap invariance")
     import dataclasses
 
@@ -281,7 +281,7 @@ def test_criterion_12_truncation_convergence(material, geometry):
                 cfg,
             )
             rho = steady_state_full(system)
-            concs[nlev] = concurrence(reduce_to_qubits(rho, cfg))
+            concs[nlev] = concurrence(reduce_to_qubits(rho))
         worst = max(worst, abs(concs[3] - concs[4]))
     report(12, "truncation-convergence", worst < 0.01,
            f"max |C(N=3) - C(N=4)| = {worst:.2e} over I in [0, 80] W/cm^2 (tol 0.01)")

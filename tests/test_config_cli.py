@@ -481,21 +481,38 @@ def test_phase_keys_each_change_the_concurrence_csv(tmp_path):
     assert bare != in_phase
 
 
-@pytest.mark.parametrize("command", ["concurrence", "spectra"])
-def test_undamped_particles_exit_2_without_csv_or_warning(command, tmp_path, capsys):
-    """gamma_p = 0 without the radiative channel gives gamma_0 = 0; the run
-    is refused before any rate is formed."""
-    import warnings
+_NEAR_UNDAMPED = ("metal.gamma_p_ev=1e-9", "geometry.n=1:17:1", "drive.intensity_w_cm2=0.5,80")
 
+
+@pytest.mark.parametrize("command,overrides,code,message", [
+    pytest.param("concurrence", ("metal.gamma_p_ev=0", "geometry.n=1,2"), EXIT_CONFIG,
+                 "gamma_0 is zero", id="concurrence"),
+    pytest.param("spectra", ("metal.gamma_p_ev=0", "geometry.n=1,2"), EXIT_CONFIG,
+                 "gamma_0 is zero", id="spectra"),
+    pytest.param("concurrence", _NEAR_UNDAMPED, EXIT_NUMERICAL,
+                 "state trace deviates from 1", id="concurrence-near-undamped"),
+    pytest.param("spectra", _NEAR_UNDAMPED, EXIT_OK, None, id="spectra-near-undamped"),
+])
+def test_undamped_particles_exit_2_without_csv_or_warning(command, overrides, code, message,
+                                                          tmp_path, capsys):
+    """gamma_p = 0 without the radiative channel gives gamma_0 = 0; the run
+    is refused before any rate is formed.  A near-undamped chain (gamma_p =
+    1e-9 eV) is no crash either: no RuntimeWarning escapes, the concurrence
+    sweep refuses the state it cannot solve to working accuracy (at n = 3)
+    and writes no CSV, and spectra writes only finite numbers."""
     out = tmp_path / "u.csv"
-    args = [command, "--set", "metal.gamma_p_ev=0", "--set", "metal.radiative_damping=false",
-            "--set", "geometry.n=1,2", "--out", str(out)]
+    args = [command, "--set", "metal.radiative_damping=false", "--out", str(out)]
+    args += [arg for item in overrides for arg in ("--set", item)]
     if command == "spectra":
         args += ["--set", "drive.omega_mode=grid", "--set", "drive.lambda_points=11"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(args)
-    assert code == EXIT_CONFIG
-    assert "gamma_0 is zero" in capsys.readouterr().err
-    assert not out.exists()
+        assert main(args) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if message is not None:
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        return
+    header, *rows = out.read_text().splitlines()
+    assert len(rows) == 11 * 17
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))

@@ -17,6 +17,7 @@ from plasmarray import (
     HostMedium,
     MemoryBudgetError,
     QdParams,
+    check_states,
     concurrence,
     derive_material,
     drive_rates,
@@ -321,10 +322,10 @@ def test_partial_trace_of_product_state():
     # |e_1 g_2> x |vacuum>: raveled index (1,0,0) -> 1*2*3 + 0*3 + 0 = 6
     psi = np.zeros(cfg.dim, dtype=complex)
     psi[6] = 1.0
-    state = reduce_to_qubits(np.outer(psi, psi.conj()), cfg)
+    state = reduce_to_qubits(np.outer(psi, psi.conj()))
     # computational label |1> = dot 1 excited
-    assert state.rho[1, 1].real == pytest.approx(1.0, abs=1e-14)
-    assert abs(np.trace(state.rho) - 1.0) < 1e-14
+    assert state[1, 1].real == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.trace(state) - 1.0) < 1e-14
 
 
 def test_partial_trace_preserves_trace(material, qd_resonant, geometry):
@@ -333,8 +334,9 @@ def test_partial_trace_preserves_trace(material, qd_resonant, geometry):
         geometry(2), material, qd_resonant, _drive(material, qd_resonant, 40.0), cfg
     )
     rho = steady_state_full(system)
-    state = reduce_to_qubits(rho, cfg).validate()
-    assert abs(np.trace(state.rho) - 1.0) < 1e-10
+    state = reduce_to_qubits(rho)
+    check_states(state)
+    assert abs(np.trace(state) - 1.0) < 1e-10
 
 
 def test_entangled_dot_mode_state_reduces_to_mixed():
@@ -343,8 +345,8 @@ def test_entangled_dot_mode_state_reduces_to_mixed():
     psi = np.zeros(cfg.dim, dtype=complex)
     psi[6] = 1.0 / np.sqrt(2.0)   # (1,0,0)
     psi[1] = 1.0 / np.sqrt(2.0)   # (0,0,1)
-    state = reduce_to_qubits(np.outer(psi, psi.conj()), cfg)
-    purity = float(np.trace(state.rho @ state.rho).real)
+    state = reduce_to_qubits(np.outer(psi, psi.conj()))
+    purity = float(np.trace(state @ state).real)
     assert purity < 1.0 - 1e-6
 
 
@@ -389,7 +391,7 @@ def test_truncation_convergence_single_particle(material, geometry):
         cfg = FockConfig(n=1, fock_levels=nlev)
         system = build_full_system(geom, material, qd, _drive(material, qd, 80.0), cfg)
         rho = steady_state_full(system)
-        concs[nlev] = concurrence(reduce_to_qubits(rho, cfg))
+        concs[nlev] = concurrence(reduce_to_qubits(rho))
     assert abs(concs[3] - concs[4]) < 0.01
 
 
@@ -494,7 +496,7 @@ def test_operator_trace_norm_gives_the_generator_norm(material, geometry):
 def _fresh_c_full(material, geometry, qd, cfg, intensity_w_cm2):
     system = build_full_system(geometry(cfg.n), material, qd,
                                _drive(material, qd, intensity_w_cm2), cfg)
-    return concurrence(reduce_to_qubits(steady_state_full(system), cfg))
+    return concurrence(reduce_to_qubits(steady_state_full(system)))
 
 
 def test_multi_intensity_case_matches_fresh_solves(material, geometry):
@@ -573,7 +575,7 @@ def test_narrow_linewidth_case_is_solved_by_one_arnoldi_run(narrow_material, geo
     for e0, row in zip(system.e0, table.rows):
         a = trace_constrained(l_0 + e0 * l_1, cfg.dim, scale).toarray()
         rho = np.linalg.solve(a, rhs).reshape(cfg.dim, cfg.dim)
-        ref = concurrence(reduce_to_qubits(0.5 * (rho + rho.conj().T), cfg))
+        ref = concurrence(reduce_to_qubits(0.5 * (rho + rho.conj().T)))
         assert abs(row.c_full - ref) <= 1e-10
 
 
@@ -645,7 +647,7 @@ def test_validator_budget_counts_one_held_state(material, geometry):
         steady_state_full(build_full_system(geometry(2), material, qd, drive, tight))
     states = steady_state_full(build_full_system(geometry(2), material, qd, drive, roomy))
     assert [row.c_full for row in table.rows] == [
-        concurrence(reduce_to_qubits(rho, roomy)) for rho in states]
+        concurrence(reduce_to_qubits(rho)) for rho in states]
 
 
 def test_empty_intensity_grid_gives_an_empty_table(material, qd_resonant, geometry):
@@ -653,3 +655,23 @@ def test_empty_intensity_grid_gives_an_empty_table(material, qd_resonant, geomet
                                        FockConfig(n=1, fock_levels=3), [])
     assert table.rows == []
 
+
+
+def test_reduced_states_are_checked_in_one_call(monkeypatch, material, qd_resonant, geometry):
+    """validate_against_effective checks a case's reduced states with one
+    check_states call, which names a failing state by its index in the
+    intensity grid."""
+    reduce, check = fullmodel.reduce_to_qubits, fullmodel.check_states
+    reduced, checked = [], []
+
+    def reduce_second_off_trace(rho_full):
+        reduced.append(reduce(rho_full))
+        return reduced[-1] + (np.diag([0.0, 0.0, 0.0, 1e-6]) if len(reduced) == 2 else 0.0)
+
+    monkeypatch.setattr(fullmodel, "reduce_to_qubits", reduce_second_off_trace)
+    monkeypatch.setattr(fullmodel, "check_states", lambda rho: checked.append(rho) or check(rho))
+    with pytest.raises(NumericalError, match=r"state trace deviates from 1 by .* \(state 1\)$"):
+        validate_against_effective(geometry(1), material, qd_resonant,
+                                   FockConfig(n=1, fock_levels=3), [1e4, 2e4, 4e4])
+    assert len(reduced) == 3
+    assert [rho.shape for rho in checked] == [(3, 4, 4)]

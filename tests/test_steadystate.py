@@ -31,6 +31,7 @@ from plasmarray import (
     MediatedParams,
     NumericalError,
     QdParams,
+    check_states,
     concurrence,
     dicke_populations,
     drive_rates,
@@ -41,7 +42,6 @@ from plasmarray.constants import W_CM2_TO_W_M2
 from plasmarray.steadystate import (
     SIGMA_1,
     SIGMA_2,
-    TwoQubitState,
     _certified_separable,
     _stationarity_matrices,
 )
@@ -208,29 +208,29 @@ def test_zero_drive_decays_to_ground(material, qd_resonant, geometry):
     state = steady_state(steady_for(material, qd_resonant, geometry, 2, 0.0))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 1.0
-    assert np.allclose(state.rho, expected, atol=1e-13)
+    assert np.allclose(state, expected, atol=1e-13)
     assert concurrence(state) == 0.0
 
 
 def test_trace_fixed_by_construction(material, qd_resonant, geometry):
     state = steady_state(steady_for(material, qd_resonant, geometry, 3, 40.0))
-    assert abs(np.trace(state.rho) - 1.0) < 1e-12
+    assert abs(np.trace(state) - 1.0) < 1e-12
 
 
 def test_stationarity_residual(material, qd_resonant, geometry):
     mp = steady_for(material, qd_resonant, geometry, 2, 25.0)
     _, m_raw = _stationarity_matrices(mp)
     state = steady_state(mp)
-    assert m_raw.shape == (1, 16, 16) and state.rho.shape == (4, 4)
-    x = reference_coords(state.rho)
+    assert m_raw.shape == (1, 16, 16) and state.shape == (4, 4)
+    x = reference_coords(state)
     assert np.linalg.norm(m_raw[0] @ x) <= 1e-10 * np.linalg.norm(m_raw[0])
 
 
 def test_hermiticity_and_positivity_across_sweep(material, qd_antisym_35, geometry):
     for intensity in (0.5, 4.0, 16.0, 64.0):
         state = steady_state(steady_for(material, qd_antisym_35, geometry, 1, intensity))
-        state.validate()
-        evals = np.linalg.eigvalsh(state.rho)
+        check_states(state)
+        evals = np.linalg.eigvalsh(state)
         assert evals.min() > -1e-9
         assert abs(evals.sum() - 1.0) < 1e-10
 
@@ -264,6 +264,25 @@ def test_batched_generator_matches_reference(params):
         assert np.linalg.norm(m - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(admissible_params(), min_size=1, max_size=6))
+def test_admissible_stacks_solve_to_states_or_refuse(params):
+    """Any stack of admissible parameters is refused with NumericalError or
+    gives finite states that pass check_states, with C in [0, 1] and Dicke
+    populations that sum to 1."""
+    try:
+        rho = steady_state(stack(params))
+    except NumericalError:
+        return
+    assert rho.shape == (len(params), 4, 4) and np.isfinite(rho).all()
+    check_states(rho)
+    c = concurrence(rho)
+    assert ((c >= 0.0) & (c <= 1.0 + 1e-12)).all()
+    pops = dicke_populations(rho)
+    total = pops.rho_gg + pops.rho_ss + pops.rho_aa + pops.rho_ee
+    assert np.max(np.abs(total - 1.0)) <= 1e-10
+
+
 def test_batched_states_match_per_point_reference(material, qd_resonant, qd_antisym_35,
                                                   geometry):
     mp = steady_for(material, qd_resonant, geometry, 1, 10.0)
@@ -280,7 +299,7 @@ def test_batched_states_match_per_point_reference(material, qd_resonant, qd_anti
     state = steady_state(stack(points))
     conc = concurrence(state)
     pops = dicke_populations(state)
-    assert state.rho.shape == (len(points), 4, 4) and conc.shape == (len(points),)
+    assert state.shape == (len(points), 4, 4) and conc.shape == (len(points),)
     assert conc.max() > 0.1
     for k, mp in enumerate(points):
         rho = reference_steady_rho(mp)
@@ -293,8 +312,8 @@ def test_single_params_is_the_stack_of_one(material, qd_antisym_35, geometry):
     mp = steady_for(material, qd_antisym_35, geometry, 1, 16.0)
     single = steady_state(mp)
     stacked = steady_state(stack([mp]))
-    assert single.rho.shape == (4, 4)
-    assert np.array_equal(single.rho, stacked.rho[0])
+    assert single.shape == (4, 4)
+    assert np.array_equal(single, stacked[0])
     assert concurrence(single) == concurrence(stacked)[0]
     assert isinstance(concurrence(single), float)
     assert dicke_populations(single).rho_ss == dicke_populations(stacked).rho_ss[0]
@@ -323,7 +342,7 @@ def test_round_off_eigenvalues_give_one_warning_per_stack(caplog):
     for k, eps in enumerate((2e-12, 0.0, 5e-11)):
         rho[k] = np.diag([1.0 + eps, -eps, 0.0, 0.0])
     with caplog.at_level(logging.WARNING, logger="plasmarray.steadystate"):
-        TwoQubitState(rho=rho).validate()
+        check_states(rho)
     records = [r for r in caplog.records if r.name == "plasmarray.steadystate"]
     assert len(records) == 1
     assert "2 of 3 states" in records[0].getMessage()
@@ -338,7 +357,7 @@ def test_stacked_validation_names_the_first_failing_state():
     rho[1, 0, 1] = 0.1  # not Hermitian
     rho[2] = np.diag([1.1, -0.1, 0.0, 0.0])
     with pytest.raises(NumericalError, match=r"not Hermitian: .* \(state 1\)"):
-        TwoQubitState(rho=rho).validate()
+        check_states(rho)
 
 
 def test_dark_channel_without_drive_is_rejected(material, qd_resonant, geometry):
@@ -360,7 +379,7 @@ def test_zeroed_channel_with_antisymmetric_drive_is_well_posed(
         mp, gamma_diss=mp.gamma_tilde_1, lambda_tilde_2=-mp.lambda_tilde_1
     )
     state = steady_state(dark_but_driven)
-    state.validate()
+    check_states(state)
 
 
 def test_interior_intensity_maximum(material, qd_antisym_35, geometry):
@@ -417,13 +436,13 @@ def test_steady_states_match_bruteforce_oracle(material, qd_antisym_35, geometry
     for intensity in (2.0, 16.0, 64.0):
         state = steady_state(steady_for(material, qd_antisym_35, geometry, 1, intensity))
         assert concurrence(state) == pytest.approx(
-            wootters_bruteforce(state.rho), abs=1e-10
+            wootters_bruteforce(state), abs=1e-10
         )
 
 
 def test_swap_invariance(material, qd_antisym_35, geometry):
     state = steady_state(steady_for(material, qd_antisym_35, geometry, 1, 16.0))
-    swapped = SWAP @ state.rho @ SWAP
+    swapped = SWAP @ state @ SWAP
     assert concurrence(state) == pytest.approx(concurrence(swapped), abs=1e-12)
 
 
@@ -460,7 +479,7 @@ def test_exchanging_the_dots_swaps_the_state(material, geometry, n, detunings, l
                              gamma_diss=math.sqrt(purcell_2) * mp.gamma_diss)
     state = steady_state(mp)
     exchanged = steady_state(_exchanged(mp))
-    assert np.max(np.abs(exchanged.rho - SWAP @ state.rho @ SWAP)) <= 1e-12
+    assert np.max(np.abs(exchanged - SWAP @ state @ SWAP)) <= 1e-12
     assert abs(concurrence(exchanged) - concurrence(state)) <= 1e-11
     pops, pops_x = dicke_populations(state), dicke_populations(exchanged)
     for field in ("rho_gg", "rho_ss", "rho_aa", "rho_ee"):
@@ -628,7 +647,7 @@ def test_chain_steady_states_match_the_scalar_eigensolve(material, geometry):
     intensities = np.arange(0.5, 80.1, 2.5)
     counts = np.zeros(2, dtype=int)
     for n in range(1, 18):
-        rho = steady_state(steady_for(material, qd, geometry, n, intensities)).rho
+        rho = steady_state(steady_for(material, qd, geometry, n, intensities))
         c = concurrence(rho)
         certified = _certified_separable(rho)
         counts += [certified.sum(), (~certified).sum()]
@@ -648,7 +667,7 @@ def test_chain_steady_states_match_the_scalar_eigensolve_anywhere(
     qd = QdParams.at_resonance(material, R_QD, GAMMA_I, detunings[0] * GAMMA_I,
                                detunings[1] * GAMMA_I)
     intensities = np.geomspace(1e-2, 10.0**log_top, 24)
-    rho = steady_state(steady_for(material, qd, geometry, n, intensities, phi)).rho
+    rho = steady_state(steady_for(material, qd, geometry, n, intensities, phi))
     c = concurrence(rho)
     assert same_bits(c, [reference_concurrence(r) for r in rho])
     assert same_bits(c, [concurrence(r) for r in rho])
@@ -677,14 +696,14 @@ def test_concurrence_is_invariant_under_local_unitaries(seed, rank, gap):
 def test_single_excitation_decomposition():
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = 1.0
-    pops = dicke_populations(TwoQubitState(rho=rho))
+    pops = dicke_populations(rho)
     assert pops.rho_ss == pytest.approx(0.5, abs=1e-12)
     assert pops.rho_aa == pytest.approx(0.5, abs=1e-12)
     assert pops.rho_sa == pytest.approx(0.5 + 0j, abs=1e-12)
 
 
 def test_bell_state_population():
-    pops = dicke_populations(TwoQubitState(rho=BELL_S))
+    pops = dicke_populations(BELL_S)
     assert pops.rho_ss == pytest.approx(1.0, abs=1e-12)
     assert pops.rho_gg == pops.rho_aa == pops.rho_ee == pytest.approx(0.0, abs=1e-12)
 
