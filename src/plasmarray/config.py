@@ -1,11 +1,16 @@
 """Experiment configuration: flat `section.key = value` text files.
 
 Format rules: UTF-8, one assignment per line, `#` starts a comment,
-unknown keys are rejected, every number must be finite and every numeric
-field is range-checked at parse time.  Grids accept either comma lists
-("1,2,3") or "start:stop:step" ranges (inclusive stop, within half a
-step), and must not be empty.  Command-line overrides use the same key
-syntax.
+unknown keys are rejected.  The keys are the fields of the section
+dataclasses below, and each value is read as the type of its field's
+default: a boolean, an integer, a finite number, a string, or a grid of
+finite numbers (of integers for `geometry.n`).  Grids accept either comma
+lists ("1,2,3") or "start:stop:step" ranges (inclusive stop, within half a
+step), and must not be empty.  `_BOUNDS` (lower bounds) and `_CHOICES`
+(named values) hold every range rule checked at parse time.  Two numeric
+keys have none: `geometry.s_z` is checked by `ArrayGeometry` (|s_z| <= 2),
+and `drive.phi_over_pi` takes any real number.  Command-line overrides use
+the same key syntax; an error names the file line or the override.
 
 Defaults reproduce the reference system: silver-like Drude particles
 (omega_p = 8.5472 eV, eps_inf = 5, gamma_p = 0.018 eV) of radius 30 nm in
@@ -17,7 +22,7 @@ detuning -200..200 gamma_i step 5).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .exceptions import ConfigError
 
@@ -56,20 +61,19 @@ class MediumConfig:
 @dataclass(frozen=True)
 class QdConfig:
     gamma_i: float = _TWO_PI_1E8   # rad/s
-    detuning_mode: str = "none"    # none | symmetric | antisymmetric
+    detuning_mode: str = "none"
     delta_over_gamma: tuple = _grid(-200.0, 200.0, 5.0)
 
 
 @dataclass(frozen=True)
 class DriveConfig:
     intensity_w_cm2: tuple = _grid(0.5, 80.0, 0.5)
-    omega_mode: str = "lspr"       # lspr | wavelength_nm | grid
-    wavelength_nm: float = 480.0
+    omega_mode: str = "lspr"
     lambda_min_nm: float = 420.0
     lambda_max_nm: float = 560.0
     lambda_points: int = 601
     phi_over_pi: float = 0.0
-    phi_mode: str = "effective"    # effective | bare
+    phi_mode: str = "effective"
 
 
 @dataclass(frozen=True)
@@ -95,147 +99,132 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _parse_bool(raw: str, key: str, line_no: int) -> bool:
+# the lower bound of each bounded key and whether the bound itself is
+# allowed; a grid's bound holds for every entry
+_BOUNDS = {
+    "geometry.r_nm": (0.0, False),
+    "geometry.r0_nm": (0.0, False),
+    "geometry.s_nm": (0.0, True),
+    "geometry.n": (1, True),
+    "metal.omega_p_ev": (0.0, False),
+    "metal.eps_inf": (1.0, True),
+    "metal.gamma_p_ev": (0.0, True),
+    "medium.eps_m": (1.0, True),
+    "qd.gamma_i": (0.0, False),
+    "drive.intensity_w_cm2": (0.0, True),
+    "drive.lambda_min_nm": (0.0, False),
+    "drive.lambda_max_nm": (0.0, False),
+    "drive.lambda_points": (2, True),
+    "solver.fock_levels": (2, True),
+    "solver.memory_budget_gb": (0.0, False),
+    "output.precision": (1, True),
+}
+
+_CHOICES = {
+    "qd.detuning_mode": ("none", "symmetric", "antisymmetric"),
+    "drive.omega_mode": ("lspr", "grid"),
+    "drive.phi_mode": ("effective", "bare"),
+}
+
+# every key and its default, whose type picks the key's parser
+_DEFAULTS = {
+    f"{section.name}.{item.name}": item.default
+    for section in fields(ExperimentConfig)
+    for item in fields(section.default_factory)
+}
+
+
+def _parse_bool(raw: str, key: str, where: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"line {line_no}: {key} expects a boolean, got {raw!r}")
+    raise ConfigError(f"{where}: {key} expects a boolean, got {raw!r}")
 
 
-def _parse_float(raw: str, key: str, line_no: int) -> float:
+def _parse_float(raw: str, key: str, where: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} expects a number, got {raw!r}") from None
+        raise ConfigError(f"{where}: {key} expects a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"line {line_no}: {key} expects a finite number, got {raw!r}")
+        raise ConfigError(f"{where}: {key} expects a finite number, got {raw!r}")
     return value
 
 
-def _parse_int(raw: str, key: str, line_no: int) -> int:
+def _parse_int(raw: str, key: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"line {line_no}: {key} expects an integer, got {raw!r}") from None
+        raise ConfigError(f"{where}: {key} expects an integer, got {raw!r}") from None
 
 
-def _parse_float_list(raw: str, key: str, line_no: int) -> tuple:
+def _parse_grid(raw: str, key: str, where: str, integer: bool) -> tuple:
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ConfigError(
-                f"line {line_no}: {key} range must be start:stop:step, got {raw!r}"
-            )
-        start, stop, step = (_parse_float(p, key, line_no) for p in parts)
+            raise ConfigError(f"{where}: {key} range must be start:stop:step, got {raw!r}")
+        start, stop, step = (_parse_float(p, key, where) for p in parts)
         if step <= 0 or stop < start:
-            raise ConfigError(f"line {line_no}: {key} has an empty or inverted range")
-        return _grid(start, stop, step)
-    return tuple(_parse_float(tok, key, line_no) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_int_list(raw: str, key: str, line_no: int) -> tuple:
-    values = _parse_float_list(raw, key, line_no)
-    out = []
+            raise ConfigError(f"{where}: {key} has an empty or inverted range")
+        values = _grid(start, stop, step)
+    else:
+        values = tuple(_parse_float(tok, key, where) for tok in raw.split(",") if tok.strip())
+    if not values:
+        raise ConfigError(f"{where}: {key} must not be empty")
+    if not integer:
+        return values
     for v in values:
         if abs(v - round(v)) > 1e-9:
-            raise ConfigError(f"line {line_no}: {key} expects integers, got {v}")
-        out.append(int(round(v)))
-    return tuple(out)
+            raise ConfigError(f"{where}: {key} expects integers, got {v}")
+    return tuple(int(round(v)) for v in values)
 
 
-def _positive(value, key: str, line_no: int):
-    if value <= 0:
-        raise ConfigError(f"line {line_no}: {key} must be positive, got {value}")
+def _parse_value(raw: str, key: str, where: str):
+    """The value of `key` read from `raw` as the type of its default, then
+    checked against the key's entry in _CHOICES or _BOUNDS."""
+    default = _DEFAULTS[key]
+    if isinstance(default, bool):
+        return _parse_bool(raw, key, where)
+    if isinstance(default, str):
+        value = raw.strip()
+        if key in _CHOICES:
+            value = value.lower()
+            if value not in _CHOICES[key]:
+                raise ConfigError(
+                    f"{where}: {key} must be one of {', '.join(_CHOICES[key])}; got {raw!r}"
+                )
+        return value
+    if isinstance(default, tuple):
+        value = _parse_grid(raw, key, where, integer=isinstance(default[0], int))
+    elif isinstance(default, int):
+        value = _parse_int(raw, key, where)
+    else:
+        value = _parse_float(raw, key, where)
+    if key in _BOUNDS:
+        floor, inclusive = _BOUNDS[key]
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < floor or (v == floor and not inclusive):
+                raise ConfigError(
+                    f"{where}: {key} must be {'>=' if inclusive else '>'} {floor:g}, got {v}"
+                )
     return value
 
 
-def _non_negative(value, key: str, line_no: int):
-    if value < 0:
-        raise ConfigError(f"line {line_no}: {key} must be >= 0, got {value}")
-    return value
-
-
-def _choice(raw: str, key: str, line_no: int, allowed: tuple) -> str:
-    val = raw.strip().lower()
-    if val not in allowed:
-        raise ConfigError(
-            f"line {line_no}: {key} must be one of {', '.join(allowed)}; got {raw!r}"
-        )
-    return val
-
-
-# key -> (section attribute, field, parser); parsers receive (raw, key, line_no)
-_KEY_PARSERS = {
-    "geometry.r_nm": ("geometry", "r_nm", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "geometry.r0_nm": ("geometry", "r0_nm", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "geometry.s_nm": ("geometry", "s_nm", lambda r, k, ln: _non_negative(_parse_float(r, k, ln), k, ln)),
-    "geometry.n": ("geometry", "n", lambda r, k, ln: _validate_n(_parse_int_list(r, k, ln), k, ln)),
-    "geometry.s_z": ("geometry", "s_z", _parse_float),
-    "metal.omega_p_ev": ("metal", "omega_p_ev", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "metal.eps_inf": ("metal", "eps_inf", lambda r, k, ln: _at_least(_parse_float(r, k, ln), 1.0, k, ln)),
-    "metal.gamma_p_ev": ("metal", "gamma_p_ev", lambda r, k, ln: _non_negative(_parse_float(r, k, ln), k, ln)),
-    "metal.radiative_damping": ("metal", "radiative_damping", _parse_bool),
-    "medium.eps_m": ("medium", "eps_m", lambda r, k, ln: _at_least(_parse_float(r, k, ln), 1.0, k, ln)),
-    "qd.gamma_i": ("qd", "gamma_i", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "qd.detuning_mode": ("qd", "detuning_mode", lambda r, k, ln: _choice(r, k, ln, ("none", "symmetric", "antisymmetric"))),
-    "qd.delta_over_gamma": ("qd", "delta_over_gamma", lambda r, k, ln: _non_empty(_parse_float_list(r, k, ln), k, ln)),
-    "drive.intensity_w_cm2": ("drive", "intensity_w_cm2", lambda r, k, ln: _validate_intensities(_parse_float_list(r, k, ln), k, ln)),
-    "drive.omega_mode": ("drive", "omega_mode", lambda r, k, ln: _choice(r, k, ln, ("lspr", "wavelength_nm", "grid"))),
-    "drive.wavelength_nm": ("drive", "wavelength_nm", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "drive.lambda_min_nm": ("drive", "lambda_min_nm", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "drive.lambda_max_nm": ("drive", "lambda_max_nm", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "drive.lambda_points": ("drive", "lambda_points", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 2, k, ln)),
-    "drive.phi_over_pi": ("drive", "phi_over_pi", _parse_float),
-    "drive.phi_mode": ("drive", "phi_mode", lambda r, k, ln: _choice(r, k, ln, ("effective", "bare"))),
-    "solver.fock_levels": ("solver", "fock_levels", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 2, k, ln)),
-    "solver.memory_budget_gb": ("solver", "memory_budget_gb", lambda r, k, ln: _positive(_parse_float(r, k, ln), k, ln)),
-    "output.csv": ("output", "csv", lambda r, k, ln: r.strip()),
-    "output.precision": ("output", "precision", lambda r, k, ln: _at_least(_parse_int(r, k, ln), 1, k, ln)),
-}
-
-
-def _at_least(value, floor, key: str, line_no: int):
-    if value < floor:
-        raise ConfigError(f"line {line_no}: {key} must be >= {floor}, got {value}")
-    return value
-
-
-def _non_empty(values: tuple, key: str, line_no: int) -> tuple:
-    if not values:
-        raise ConfigError(f"line {line_no}: {key} must not be empty")
-    return values
-
-
-def _validate_n(values: tuple, key: str, line_no: int) -> tuple:
-    for v in values:
-        if v < 1:
-            raise ConfigError(f"line {line_no}: {key} entries must be >= 1, got {v}")
-    return _non_empty(values, key, line_no)
-
-
-def _validate_intensities(values: tuple, key: str, line_no: int) -> tuple:
-    for v in values:
-        if v < 0:
-            raise ConfigError(f"line {line_no}: {key} entries must be >= 0, got {v}")
-    return _non_empty(values, key, line_no)
-
-
-def _apply_assignment(cfg: ExperimentConfig, key: str, raw: str, line_no: int) -> ExperimentConfig:
+def _apply_assignment(cfg: ExperimentConfig, key: str, raw: str, where: str) -> ExperimentConfig:
     key = key.strip().lower()
-    if key not in _KEY_PARSERS:
-        raise ConfigError(f"line {line_no}: unknown key {key!r}")
-    section_name, field_name, parser = _KEY_PARSERS[key]
-    value = parser(raw, key, line_no)
-    section = getattr(cfg, section_name)
-    return replace(cfg, **{section_name: replace(section, **{field_name: value})})
+    if key not in _DEFAULTS:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    section_name, field_name = key.split(".")
+    section = replace(getattr(cfg, section_name), **{field_name: _parse_value(raw, key, where)})
+    return replace(cfg, **{section_name: section})
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse configuration text on top of defaults (or a given base)."""
-    cfg = base if base is not None else ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse configuration text on top of the defaults."""
+    cfg = ExperimentConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -243,7 +232,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if "=" not in stripped:
             raise ConfigError(f"line {line_no}: expected 'section.key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
-        cfg = _apply_assignment(cfg, key, raw, line_no)
+        cfg = _apply_assignment(cfg, key, raw, f"line {line_no}")
     return cfg
 
 
@@ -263,5 +252,5 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
         if "=" not in item:
             raise ConfigError(f"override {i}: expected section.key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        cfg = _apply_assignment(cfg, key, raw, 0)
+        cfg = _apply_assignment(cfg, key, raw, f"override {i}")
     return cfg

@@ -48,9 +48,7 @@ from .steadystate import concurrence, dicke_populations, steady_state
 __all__ = [
     "material_from",
     "geometry_from",
-    "qd_from",
     "detuning_pair",
-    "single_omega",
     "run_couplings",
     "run_spectra",
     "run_concurrence_sweep",
@@ -94,19 +92,21 @@ def detuning_pair(mode: str, delta_over_gamma: float, gamma_i: float) -> tuple:
     raise ConfigError(f"unknown detuning mode {mode!r}")
 
 
-def qd_from(cfg: ExperimentConfig, mat: MaterialSystem, delta_over_gamma: float) -> QdParams:
-    d1, d2 = detuning_pair(cfg.qd.detuning_mode, delta_over_gamma, cfg.qd.gamma_i)
+def _dots(cfg: ExperimentConfig, mat: MaterialSystem, mode: str,
+          delta_over_gamma: float) -> QdParams:
+    """The two dots at the single-particle resonance, detuned by `mode`."""
+    d1, d2 = detuning_pair(mode, delta_over_gamma, cfg.qd.gamma_i)
     return QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i, d1, d2)
 
 
-def single_omega(cfg: ExperimentConfig, mat: MaterialSystem) -> float:
-    """Driving frequency for single-frequency experiments."""
-    mode = cfg.drive.omega_mode
-    if mode == "lspr":
-        return mat.omega_0
-    if mode == "wavelength_nm":
-        return wavelength_nm_to_omega(cfg.drive.wavelength_nm)
-    raise ConfigError(f"this experiment needs a single frequency, got omega_mode={mode!r}")
+def _check_omega_mode(cfg: ExperimentConfig, experiment: str) -> None:
+    """Refuse a run whose drive.omega_mode its experiment cannot use:
+    spectra scans the wavelength grid (`grid`), every other experiment
+    drives at the single-particle resonance omega_0 (`lspr`)."""
+    needed = "grid" if experiment == "spectra" else "lspr"
+    if cfg.drive.omega_mode != needed:
+        raise ConfigError(f"{experiment} needs drive.omega_mode = {needed}, "
+                          f"got {cfg.drive.omega_mode}")
 
 
 def _sequence_label(n: int) -> str:
@@ -291,10 +291,9 @@ def run_couplings(cfg: ExperimentConfig):
     dissipative for odd) is fit quadratically against d_qq - 2 r0; the fit
     columns repeat on every row of the sequence.
     """
-    if cfg.drive.omega_mode != "lspr":
-        raise ConfigError("couplings experiment requires drive.omega_mode = lspr")
+    _check_omega_mode(cfg, "couplings")
     mat = material_from(cfg)
-    qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
+    qd = _dots(cfg, mat, "none", 0.0)
     drive = drive_rates(0.0, mat, qd, mat.omega_0)
     points = []
     for n in sorted(set(cfg.geometry.n)):
@@ -341,12 +340,11 @@ SPECTRA_HEADER = (
 
 def run_spectra(cfg: ExperimentConfig):
     """Symmetric/antisymmetric decay rates over the wavelength grid."""
-    if cfg.drive.omega_mode != "grid":
-        raise ConfigError("spectra experiment requires drive.omega_mode = grid")
+    _check_omega_mode(cfg, "spectra")
     if cfg.drive.lambda_max_nm <= cfg.drive.lambda_min_nm:
         raise ConfigError("lambda_max_nm must exceed lambda_min_nm")
     mat = material_from(cfg)
-    qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
+    qd = _dots(cfg, mat, "none", 0.0)
     # wavelength grid descending in lambda gives an ascending omega grid
     lam_lo, lam_hi = cfg.drive.lambda_min_nm, cfg.drive.lambda_max_nm
     npts = cfg.drive.lambda_points
@@ -374,8 +372,9 @@ CONCURRENCE_HEADER = (
 )
 
 
-def _concurrence_rows(cfg, mat, geom, omega, deltas, phi, detuning_mode):
-    """Rows of every (detuning, intensity) point of one chain, detuning-major.
+def _concurrence_rows(cfg, mat, geom, deltas, phi, detuning_mode):
+    """Rows of every (detuning, intensity) point of one chain driven at
+    omega_0, detuning-major.
 
     Each detuning's intensity column is one mediated-parameter call and
     one steady-state stack.
@@ -383,9 +382,8 @@ def _concurrence_rows(cfg, mat, geom, omega, deltas, phi, detuning_mode):
     intensities = np.array(cfg.drive.intensity_w_cm2, dtype=float)
     rows = []
     for delta_over_gamma in deltas:
-        d1, d2 = detuning_pair(detuning_mode, delta_over_gamma, cfg.qd.gamma_i)
-        qd = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i, d1, d2)
-        drive = drive_rates(intensities * W_CM2_TO_W_M2, mat, qd, omega, phi)
+        qd = _dots(cfg, mat, detuning_mode, delta_over_gamma)
+        drive = drive_rates(intensities * W_CM2_TO_W_M2, mat, qd, mat.omega_0, phi)
         state = steady_state(mediated_params(geom, mat, qd, drive,
                                              phi_mode=cfg.drive.phi_mode))
         pops = dicke_populations(state)
@@ -400,8 +398,7 @@ def _concurrence_rows(cfg, mat, geom, omega, deltas, phi, detuning_mode):
 def _concurrence_task(args):
     """All (detuning, intensity) points of one n."""
     cfg, mat, n, deltas, phi, detuning_mode = args
-    return _concurrence_rows(cfg, mat, geometry_from(cfg, n), single_omega(cfg, mat),
-                             deltas, phi, detuning_mode)
+    return _concurrence_rows(cfg, mat, geometry_from(cfg, n), deltas, phi, detuning_mode)
 
 
 def run_concurrence_sweep(cfg: ExperimentConfig, jobs: int = 1):
@@ -410,6 +407,7 @@ def run_concurrence_sweep(cfg: ExperimentConfig, jobs: int = 1):
     Returns (rows, optima) where optima maps n to the grid argmax
     (intensity*, delta*, concurrence*).
     """
+    _check_omega_mode(cfg, "concurrence")
     deltas = cfg.qd.delta_over_gamma if cfg.qd.detuning_mode != "none" else (0.0,)
     phi = cfg.drive.phi_over_pi * math.pi
     mat = material_from(cfg)
@@ -456,12 +454,12 @@ def _decay_task(args):
     """Optimize one n over its scheme's (intensity, detuning) grid."""
     cfg, mat, n = args
     geom = geometry_from(cfg, n)
-    qd0 = QdParams.at_resonance(mat, cfg.geometry.r0_nm * NM, cfg.qd.gamma_i)
+    qd0 = _dots(cfg, mat, "none", 0.0)
     drive0 = drive_rates(0.0, mat, qd0, mat.omega_0)
     g_sign = math.copysign(1.0, mediated_params(geom, mat, qd0, drive0).g_coh or 1.0)
     mode, deltas, phi = _decay_scheme(cfg, n, g_sign)
     best = (-1.0, 0.0, 0.0)
-    for row in _concurrence_rows(cfg, mat, geom, mat.omega_0, deltas, phi, mode):
+    for row in _concurrence_rows(cfg, mat, geom, deltas, phi, mode):
         if row[3] > best[0]:
             best = (row[3], row[1], row[2])
     return n, _sequence_label(n), best[0], best[1], best[2]
@@ -477,8 +475,7 @@ def run_decay(cfg: ExperimentConfig, jobs: int = 1):
     detuning.  Fits use only strictly positive optima and need at least
     two of them per sequence.
     """
-    if cfg.drive.omega_mode != "lspr":
-        raise ConfigError("decay experiment requires drive.omega_mode = lspr")
+    _check_omega_mode(cfg, "decay")
     mat = material_from(cfg)
     tasks = [(cfg, mat, n) for n in sorted(set(cfg.geometry.n))]
     results = _map_tasks(_decay_task, tasks, jobs)
@@ -523,12 +520,12 @@ def run_validate(cfg: ExperimentConfig):
     # the explicit-mode model serves this subcommand alone; import it on demand
     from .fullmodel import FockConfig, validate_against_effective
 
+    _check_omega_mode(cfg, "validate")
     mat = material_from(cfg)
     if cfg.qd.detuning_mode != "none" and len(cfg.qd.delta_over_gamma) != 1:
         raise ConfigError("validate expects a single qd.delta_over_gamma value")
     delta = cfg.qd.delta_over_gamma[0] if cfg.qd.detuning_mode != "none" else 0.0
-    qd = qd_from(cfg, mat, delta)
-    omega = single_omega(cfg, mat)
+    qd = _dots(cfg, mat, cfg.qd.detuning_mode, delta)
     phi = cfg.drive.phi_over_pi * math.pi
     budget = int(cfg.solver.memory_budget_gb * 2**30)
     rows = []
@@ -540,8 +537,7 @@ def run_validate(cfg: ExperimentConfig):
         try:
             table = validate_against_effective(
                 geom, mat, qd, fock,
-                [i * W_CM2_TO_W_M2 for i in cfg.drive.intensity_w_cm2],
-                omega=omega, phi=phi,
+                [i * W_CM2_TO_W_M2 for i in cfg.drive.intensity_w_cm2], phi=phi,
             )
         except MemoryBudgetError as exc:
             rows.append((n, cfg.solver.fock_levels, None, None, None, None, str(exc)))

@@ -202,6 +202,17 @@ def _log_round_off(emin: np.ndarray) -> None:
         )
 
 
+def _single_state(rho) -> bool:
+    """True for one 4 x 4 state, False for a (B, 4, 4) stack of them.
+
+    Raises DomainError for any other shape.
+    """
+    shape = np.shape(rho)
+    if len(shape) not in (2, 3) or shape[-2:] != (4, 4):
+        raise DomainError(f"expected a 4x4 density matrix or a stack of them, got shape {shape}")
+    return len(shape) == 2
+
+
 def check_states(rho: np.ndarray) -> None:
     """Check that rho, one 4 x 4 matrix or a (B, 4, 4) stack of them, holds
     two-dot states: finite, Hermitian, unit trace and positive (up to
@@ -212,13 +223,15 @@ def check_states(rho: np.ndarray) -> None:
     NumericalError
         Naming the first failing check of the first failing state, with its
         index in a stack.
+    DomainError
+        For an array of any other shape.
     """
-    stacked = rho.ndim == 3
+    single = _single_state(rho)
     checks, emin = _state_checks(rho.reshape(-1, 4, 4))
     failure = _first_failure(checks)
     if failure is not None:
         i, message = failure
-        raise NumericalError(f"{message} (state {i})" if stacked else message)
+        raise NumericalError(message if single else f"{message} (state {i})")
     _log_round_off(emin)
 
 
@@ -356,14 +369,10 @@ def concurrence(rho):
     rho * (Y x Y) rho^* (Y x Y) from a general complex eigensolver, clipped
     at zero, square-rooted and sorted in descending order;
     C = max(0, l1 - l2 - l3 - l4).  A float for one state, a (B,) array
-    for a stack.
+    for a stack; DomainError for any other shape.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
-        raise DomainError(
-            f"expected a 4x4 density matrix or a stack of them, got shape {rho.shape}"
-        )
-    single = rho.ndim == 2
+    single = _single_state(rho)
     rho = rho.reshape(-1, 4, 4)
     c = np.zeros(rho.shape[0])
     todo = np.flatnonzero(~_certified_separable(rho))
@@ -397,10 +406,9 @@ class DickePopulations:
 
 def dicke_populations(rho: np.ndarray) -> DickePopulations:
     """Rotate a 4 x 4 state or a (B, 4, 4) stack to the Dicke basis and
-    read off populations and rho_sa."""
-    rd = _DICKE_ROTATION @ rho @ _DICKE_ROTATION.conj().T
-    single = rd.ndim == 2
-    rd = rd.reshape(-1, 4, 4)
+    read off populations and rho_sa.  DomainError for any other shape."""
+    single = _single_state(rho)
+    rd = (_DICKE_ROTATION @ rho @ _DICKE_ROTATION.conj().T).reshape(-1, 4, 4)
 
     def out(values):
         return values[0].item() if single else values

@@ -121,7 +121,7 @@ def test_readme_configuration_block_is_the_defaults():
     block = _readme_config_block()
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
     defaults = _config_entries(ExperimentConfig())
-    assert sorted(keys) == sorted(defaults) and len(keys) == 25
+    assert sorted(keys) == sorted(defaults) and len(keys) == 24
     parsed = _config_entries(parse_config_text(block))
     for key, default in defaults.items():
         if isinstance(default, (float, tuple)):
@@ -151,6 +151,39 @@ def test_couplings_requires_lspr_mode():
 def test_spectra_requires_grid_mode():
     with pytest.raises(ConfigError):
         run_spectra(ExperimentConfig())
+
+
+@pytest.mark.parametrize("command,mode,jobs", [
+    pytest.param("couplings", "grid", (), id="couplings"),
+    pytest.param("spectra", "lspr", (), id="spectra"),
+    pytest.param("concurrence", "grid", ("--jobs", "2"), id="concurrence"),
+    pytest.param("decay", "grid", ("--jobs", "2"), id="decay"),
+    pytest.param("validate", "grid", (), id="validate"),
+])
+def test_wrong_omega_mode_exits_2_without_csv(command, mode, jobs, tmp_path, capsys):
+    """spectra needs drive.omega_mode = grid and every other subcommand
+    lspr; the pooled sweeps refuse before any worker starts."""
+    out = tmp_path / "m.csv"
+    code = main([command, *jobs, "--set", f"drive.omega_mode={mode}",
+                 "--set", "geometry.n=1,2", "--set", "drive.intensity_w_cm2=1",
+                 "--set", "qd.delta_over_gamma=40", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "drive.omega_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_off_resonance_drive_is_not_a_config(capsys):
+    assert main(["concurrence", "--set", "drive.wavelength_nm=480"]) == EXIT_CONFIG
+    assert "unknown key 'drive.wavelength_nm'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="drive.omega_mode must be one of lspr, grid"):
+        parse_config_text("drive.omega_mode = wavelength_nm")
+
+
+def test_override_errors_name_the_override(capsys):
+    assert main(["concurrence", "--set", "geometry.r_nm=-1",
+                 "--set", "geometry.n=1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "override 1: geometry.r_nm" in err and "line 0" not in err
 
 
 def test_solver_backend_is_an_unknown_key(capsys):

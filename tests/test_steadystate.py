@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -502,6 +503,20 @@ def test_global_drive_phase_invariance(material, qd_antisym_35, geometry):
 def test_concurrence_input_validation():
     with pytest.raises(DomainError):
         concurrence(np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 8), (16,), (2, 3, 3), (2, 2, 4, 4)],
+                         ids=str)
+@pytest.mark.parametrize("function", [check_states, concurrence, dicke_populations],
+                         ids=lambda f: f.__name__)
+def test_state_functions_refuse_other_shapes(function, shape):
+    """Only a 4 x 4 state or a (B, 4, 4) stack is a two-dot state: a
+    reshaped state (the same 16 entries) or a deeper stack is refused, not
+    read as a state or flattened."""
+    rho = np.zeros(shape, dtype=complex)
+    rho.reshape(-1)[:min(rho.size, 16):5] = 0.25
+    with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+        function(rho)
 
 
 # --------------------------------------------------------------------------
